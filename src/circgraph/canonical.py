@@ -21,7 +21,6 @@ leaf values. The pruning never changes the winning leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Optional
 
 from .graphs import BipartiteGraph, Graph, GraphError
@@ -58,7 +57,7 @@ class IsoCertificate:
     mapping: Optional[Mapping[str, str]] = None
 
 
-def _refine(n: int, adj: list[set[int]], colors: list[int]) -> list[int]:
+def _refine(n: int, adj: tuple[frozenset[int], ...], colors: list[int]) -> list[int]:
     # Stable point: every class is determined by (color, neighbor colors).
     # New ids follow signature order, whose first component is the old id,
     # so renumbering preserves the existing class order.
@@ -98,7 +97,7 @@ class _SearchState:
         self.identity = tuple(range(n))
 
 
-def _leaf_bits(n: int, adj: list[set[int]], pos2v: list[int]) -> str:
+def _leaf_bits(n: int, adj: tuple[frozenset[int], ...], pos2v: list[int]) -> str:
     parts = []
     for i in range(n):
         row = adj[pos2v[i]]
@@ -137,7 +136,7 @@ def _in_explored_orbit(
 
 def _search(
     n: int,
-    adj: list[set[int]],
+    adj: tuple[frozenset[int], ...],
     colors: list[int],
     prefix: tuple[int, ...],
     state: _SearchState,
@@ -178,32 +177,6 @@ def _search(
         explored.append(v)
 
 
-@lru_cache(maxsize=512)
-def _canonical_cached(g: Graph, respect_parts: bool) -> CanonicalForm:
-    labels = sorted(g.vertex_labels)
-    index = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for a, b in g.edges:
-        ia, ib = index[a], index[b]
-        adj[ia].add(ib)
-        adj[ib].add(ia)
-    if respect_parts:
-        u_set = set(g.part_u)
-        init = [0 if lab in u_set else 1 for lab in labels]
-        u_size: int | None = len(g.part_u)
-    else:
-        init = [0] * n
-        u_size = None
-    if n == 0:
-        return CanonicalForm(0, u_size, "", {})
-    state = _SearchState(n)
-    _search(n, adj, _refine(n, adj, init), (), state)
-    pos2v = state.best_pos2v
-    relabeling = {labels[pos2v[i]]: i for i in range(n)}
-    return CanonicalForm(n, u_size, state.best_bits or "", relabeling)
-
-
 def canonical_form(g: Graph, respect_parts: bool = False) -> CanonicalForm:
     """Canonical form of a graph, invariant under relabeling.
 
@@ -213,7 +186,21 @@ def canonical_form(g: Graph, respect_parts: bool = False) -> CanonicalForm:
     """
     if respect_parts and not isinstance(g, BipartiteGraph):
         raise GraphError("part-respecting canonical form requires a bipartite graph")
-    return _canonical_cached(g, respect_parts)
+    idx = g.index
+    n = len(idx.labels)
+    adj = idx.neighbor_sets
+    if respect_parts:
+        init = [0 if idx.points >> v & 1 else 1 for v in range(n)]
+        u_size: int | None = len(g.part_u)
+    else:
+        init = [0] * n
+        u_size = None
+    if n == 0:
+        return CanonicalForm(0, u_size, "", {})
+    state = _SearchState(n)
+    _search(n, adj, _refine(n, adj, init), (), state)
+    relabeling = {idx.labels[v]: i for i, v in enumerate(state.best_pos2v)}
+    return CanonicalForm(n, u_size, state.best_bits or "", relabeling)
 
 
 def _verify_mapping(

@@ -14,7 +14,6 @@ and exists purely as a differential oracle for `classify`.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -22,7 +21,7 @@ from itertools import combinations
 from .canonical import CanonicalForm, canonical_form
 from .circular import CircularClassification, Verdict, Violation, ViolationKind, classify
 from .constructions import Design, from_design
-from .graphs import BipartiteGraph, Distance, GraphError, SimpleGraph, metric_summary
+from .graphs import BipartiteGraph, Distance, GraphError, SimpleGraph, bfs_layers, metric_summary
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,14 +64,14 @@ def _family_graph(points: tuple[str, ...], family: tuple[int, ...], block_member
     return from_design(Design(points, blocks))
 
 
-def enumerate_circular(u_size: int, workers: int = 1) -> tuple[CensusEntry, ...]:
+def enumerate_circular(u_size: int) -> tuple[CensusEntry, ...]:
     """All circular graphs with the given point count, up to part-respecting
     isomorphism, in canonical-form order.
 
     Every family of distinct blocks (>= 3 points each) covering each point
     triple exactly once is found; each isomorphism class keeps its
     lexicographically least labeled representative, so the output does not
-    depend on enumeration order or worker count.
+    depend on enumeration order.
     """
     if not 3 <= u_size <= 7:
         raise GraphError(f"point count must be between 3 and 7: got {u_size}")
@@ -109,18 +108,8 @@ def enumerate_circular(u_size: int, workers: int = 1) -> tuple[CensusEntry, ...]
             collect(covered | mask, chosen, out)
             chosen.pop()
 
-    def branch(b: int) -> list[tuple[int, ...]]:
-        out: list[tuple[int, ...]] = []
-        collect(block_mask[b], [b], out)
-        return out
-
-    if workers <= 1:
-        families: list[tuple[int, ...]] = []
-        collect(0, [], families)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(branch, containing[0])
-        families = [fam for chunk in chunks for fam in chunk]
+    families: list[tuple[int, ...]] = []
+    collect(0, [], families)
 
     reps: dict[tuple, tuple[tuple, CensusEntry]] = {}
     for family in families:
@@ -180,17 +169,9 @@ def enumerate_circular_trees(max_n: int) -> tuple[CensusEntry, ...]:
 
 
 def _tree_bipartition(tree: SimpleGraph) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    color = {tree.vertices[0]: 0}
-    stack = [tree.vertices[0]]
-    while stack:
-        v = stack.pop()
-        for u in tree.adjacency[v]:
-            if u not in color:
-                color[u] = 1 - color[v]
-                stack.append(u)
-    side_a = tuple(v for v in tree.vertices if color[v] == 0)
-    side_b = tuple(v for v in tree.vertices if color[v] == 1)
-    return side_a, side_b
+    idx = tree.index
+    layers = bfs_layers(idx.masks, 0)
+    return idx.labels_of(sum(layers[0::2])), idx.labels_of(sum(layers[1::2]))
 
 
 def brute_force_classify(g: BipartiteGraph) -> CircularClassification:

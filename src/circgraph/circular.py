@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, product
 from typing import Any, Optional
 
 from .graphs import (
     BipartiteGraph,
     all_pairs_distances,
-    common_neighbors,
+    bits,
     metric_summary,
     UNREACHABLE,
 )
@@ -91,28 +91,30 @@ def classify(g: BipartiteGraph) -> CircularClassification:
     order; the first violation found becomes the witness. A trivial verdict
     is the star with its center among the circles and at least three leaves.
     """
-    points = sorted(g.part_u)
-    vacuous = len(points) < 3
+    idx = g.index
+    m = idx.masks
+    vacuous = len(g.part_u) < 3
     note = SINGLE_POINT_NOTE if len(g.part_u) == 1 and g.part_w else None
-    for w in sorted(g.part_w):
-        d = g.degree(w)
+    for w in bits(idx.circles):
+        d = m[w].bit_count()
         if d < 3:
             return CircularClassification(
                 Verdict.NOT_CIRCULAR,
-                Violation(ViolationKind.CIRCLE_DEGREE_TOO_SMALL, (w,), d),
+                Violation(ViolationKind.CIRCLE_DEGREE_TOO_SMALL, (idx.labels[w],), d),
                 vacuous,
                 note,
             )
-    for t in combinations(points, 3):
-        c = len(common_neighbors(g, t))
+    for x, y, z in combinations(bits(idx.points), 3):
+        c = (m[x] & m[y] & m[z]).bit_count()
         if c != 1:
             kind = (
                 ViolationKind.TRIPLE_UNCOVERED
                 if c == 0
                 else ViolationKind.TRIPLE_OVERCOVERED
             )
+            triple = (idx.labels[x], idx.labels[y], idx.labels[z])
             return CircularClassification(
-                Verdict.NOT_CIRCULAR, Violation(kind, t, c), vacuous, note
+                Verdict.NOT_CIRCULAR, Violation(kind, triple, c), vacuous, note
             )
     if len(g.part_w) >= 2:
         return CircularClassification(Verdict.NON_TRIVIAL_CIRCULAR, None, vacuous, note)
@@ -141,15 +143,16 @@ def verify_w_pair_bound(
     cls = classification or classify(g)
     if not cls.is_circular:
         return _not_applicable("w_pair_bound", cls)
+    idx = g.index
+    m = idx.masks
     max_cn = 0
     max_pair: tuple[str, str] | None = None
-    count = 0
-    for w1, w2 in combinations(sorted(g.part_w), 2):
-        count += 1
-        c = len(common_neighbors(g, (w1, w2)))
+    for x, y in combinations(bits(idx.circles), 2):
+        c = (m[x] & m[y]).bit_count()
         if c > max_cn:
             max_cn = c
-            max_pair = (w1, w2)
+            max_pair = (idx.labels[x], idx.labels[y])
+    count = len(g.part_w) * (len(g.part_w) - 1) // 2
     evidence: dict[str, Any] = {"max_cn": max_cn, "pair_count": count}
     if max_pair is not None:
         evidence["max_pair"] = max_pair
@@ -200,30 +203,25 @@ def verify_distance_profile(
     points = sorted(g.part_u)
     circles = sorted(g.part_w)
 
-    def observed(pairs):
-        return {dist[a].get(b, UNREACHABLE) for a, b in pairs}
-
-    uu = observed(combinations(points, 2))
-    ww = observed(combinations(circles, 2))
-    uw = observed((u, w) for u in points for w in circles)
-    evidence = {
-        "u_pair_distances": sorted(uu),
-        "w_pair_distances": sorted(ww),
-        "u_w_distances": sorted(uw),
-    }
+    observed = []
     counterexample = None
     for pairs, allowed in (
         (combinations(points, 2), _ALLOWED_UU),
         (combinations(circles, 2), _ALLOWED_WW),
-        (((u, w) for u in points for w in circles), _ALLOWED_UW),
+        (product(points, circles), _ALLOWED_UW),
     ):
+        seen = set()
         for a, b in pairs:
             d = dist[a].get(b, UNREACHABLE)
-            if d not in allowed:
+            seen.add(d)
+            if counterexample is None and d not in allowed:
                 counterexample = (a, b)
-                break
-        if counterexample:
-            break
+        observed.append(sorted(seen))
+    evidence = {
+        "u_pair_distances": observed[0],
+        "w_pair_distances": observed[1],
+        "u_w_distances": observed[2],
+    }
     if counterexample is None:
         return CheckReport("distance_profile", CheckStatus.PASS, evidence)
     return CheckReport("distance_profile", CheckStatus.FAIL, evidence, counterexample)
@@ -264,27 +262,27 @@ def check_linear_axioms(g: BipartiteGraph) -> CheckReport:
     every vertex must have degree at least 2. The counterexample names the
     first failing pair, then the first failing vertex.
     """
-    points = sorted(g.part_u)
+    idx = g.index
+    m = idx.masks
     pair_count = 0
-    for p, q in combinations(points, 2):
+    for x, y in combinations(bits(idx.points), 2):
         pair_count += 1
-        c = len(common_neighbors(g, (p, q)))
+        c = (m[x] & m[y]).bit_count()
         if c != 1:
             return CheckReport(
                 "linear_axioms",
                 CheckStatus.FAIL,
                 {"pair_cn": c, "pair_count": pair_count},
-                (p, q),
+                (idx.labels[x], idx.labels[y]),
             )
-    labels = sorted(g.vertex_labels)
-    min_degree = min((g.degree(v) for v in labels), default=0)
-    evidence = {"pair_count": pair_count, "min_degree": min_degree}
-    for v in labels:
-        if g.degree(v) < 2:
+    degrees = [mask.bit_count() for mask in m]
+    evidence = {"pair_count": pair_count, "min_degree": min(degrees, default=0)}
+    for v, d in zip(idx.labels, degrees):
+        if d < 2:
             return CheckReport(
                 "linear_axioms",
                 CheckStatus.FAIL,
-                {**evidence, "vertex_degree": g.degree(v)},
+                {**evidence, "vertex_degree": d},
                 (v,),
             )
     return CheckReport("linear_axioms", CheckStatus.PASS, evidence)

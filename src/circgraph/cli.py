@@ -5,7 +5,8 @@ is deterministic (lexicographic vertex order), reports are JSON with sorted
 keys and no timestamps, and "-" means standard input everywhere.
 
 Exit codes: 0 success or affirmative verdict, 1 negative verdict (not
-circular, not isomorphic, or a failing check), 2 usage or input error.
+circular, not isomorphic, or a failing check), 2 usage or input error,
+3 internal error (a failure of the tool itself, never a verdict).
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def cmd_enum(args: argparse.Namespace) -> int:
     if args.what == "circular":
         if args.u is None:
             raise GraphError("--u N is required for the circular census")
-        entries = enumerate_circular(args.u, workers=args.workers)
+        entries = enumerate_circular(args.u)
         digest = sha256_digest(f"enum circular u={args.u}")
     else:
         if args.max is None:
@@ -149,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=["circular", "trees"])
     p.add_argument("--u", type=int, help="point count for the circular census")
     p.add_argument("--max", type=int, help="vertex bound for the tree census")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_enum)
 
     p = sub.add_parser("export", help="re-emit a file as canonical JSON or DOT")
@@ -171,6 +171,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:

@@ -154,7 +154,7 @@ def derive_linear(
             "pivot deletion requires a non-trivial circular graph; "
             f"classification is {cls.verdict.value}"
         )
-    if pivot not in g.u_set:
+    if pivot not in g.part_u:
         raise GraphError(f"pivot must be a point vertex: {pivot!r}")
     keep = (set(g.part_u) - {pivot}) | set(g.adjacency[pivot])
     result = induced_subgraph(g, keep)

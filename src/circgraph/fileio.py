@@ -27,7 +27,7 @@ from .graphs import (
     Graph,
     GraphError,
     SimpleGraph,
-    _UnreachableType,
+    UNREACHABLE,
     validate_bipartite,
 )
 
@@ -170,7 +170,7 @@ def jsonify(value: Any) -> Any:
     """
     if value is None or isinstance(value, (bool, int, str)):
         return value
-    if isinstance(value, _UnreachableType):
+    if value is UNREACHABLE:
         return "unreachable"
     if isinstance(value, (list, tuple, set, frozenset)):
         items = list(value)

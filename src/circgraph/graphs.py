@@ -10,10 +10,9 @@ byte-stable.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Union
+from functools import cached_property, total_ordering
+from typing import Iterable, Iterator, Union
 
 
 class GraphError(ValueError):
@@ -28,6 +27,7 @@ class BipartiteError(GraphError):
         super().__init__("; ".join(self.violations))
 
 
+@total_ordering
 class _UnreachableType:
     """Distance between vertices in different components.
 
@@ -51,25 +51,6 @@ class _UnreachableType:
             return False
         return NotImplemented
 
-    def __le__(self, other):
-        if isinstance(other, _UnreachableType):
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, _UnreachableType):
-            return False
-        if isinstance(other, int):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (int, _UnreachableType)):
-            return True
-        return NotImplemented
-
 
 UNREACHABLE = _UnreachableType()
 
@@ -89,8 +70,83 @@ def _label_problems(labels: Iterable[str], where: str) -> tuple[list[str], set[s
     return problems, seen
 
 
+def bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclass(frozen=True, eq=False)
+class GraphIndex:
+    """Integer view of a graph, shared by every layer.
+
+    Position i holds the i-th label in sorted order, so reading positions in
+    ascending order reads labels in lexicographic order. Bit j of masks[i] is
+    set when positions i and j are adjacent; `points` has the bits of the
+    point part of a bipartite graph and is 0 for a simple graph.
+    """
+
+    labels: tuple[str, ...]
+    position: dict[str, int]
+    masks: tuple[int, ...]
+    points: int
+
+    @property
+    def circles(self) -> int:
+        return ((1 << len(self.labels)) - 1) & ~self.points
+
+    @cached_property
+    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
+        """Neighbor positions of each position, for per-vertex iteration."""
+        return tuple(frozenset(bits(m)) for m in self.masks)
+
+    def at(self, v: str) -> int:
+        try:
+            return self.position[v]
+        except KeyError:
+            raise GraphError(f"unknown vertex label: {v!r}") from None
+
+    def labels_of(self, mask: int) -> tuple[str, ...]:
+        return tuple(self.labels[i] for i in bits(mask))
+
+
+class _Indexed:
+    """Adjacency queries of both graph kinds, all answered from `index`."""
+
+    @cached_property
+    def index(self) -> GraphIndex:
+        labels = tuple(sorted(self.vertex_labels))
+        position = {v: i for i, v in enumerate(labels)}
+        masks = [0] * len(labels)
+        for a, b in self.edges:
+            i, j = position[a], position[b]
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        points = 0
+        if isinstance(self, BipartiteGraph):
+            for u in self.part_u:
+                points |= 1 << position[u]
+        return GraphIndex(labels, position, tuple(masks), points)
+
+    @cached_property
+    def adjacency(self) -> dict[str, frozenset[str]]:
+        """Neighbor labels of every vertex, for callers that work in labels."""
+        idx = self.index
+        return {v: frozenset(idx.labels_of(m)) for v, m in zip(idx.labels, idx.masks)}
+
+    def neighbors(self, v: str) -> frozenset[str]:
+        idx = self.index
+        return frozenset(idx.labels_of(idx.masks[idx.at(v)]))
+
+    def degree(self, v: str) -> int:
+        idx = self.index
+        return idx.masks[idx.at(v)].bit_count()
+
+
 @dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(_Indexed):
     """Undirected simple graph.
 
     Vertices are stored sorted; edges as (a, b) pairs with a < b, sorted.
@@ -127,26 +183,9 @@ class SimpleGraph:
     def vertex_labels(self) -> tuple[str, ...]:
         return self.vertices
 
-    @cached_property
-    def adjacency(self) -> dict[str, frozenset[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return {v: frozenset(ns) for v, ns in adj.items()}
-
-    def neighbors(self, v: str) -> frozenset[str]:
-        try:
-            return self.adjacency[v]
-        except KeyError:
-            raise GraphError(f"unknown vertex label: {v!r}") from None
-
-    def degree(self, v: str) -> int:
-        return len(self.neighbors(v))
-
 
 @dataclass(frozen=True)
-class BipartiteGraph:
+class BipartiteGraph(_Indexed):
     """Bipartite graph with named parts: points (part_u) and circles (part_w).
 
     Part sequences keep their construction order; edges are normalized to
@@ -202,31 +241,6 @@ class BipartiteGraph:
     def vertex_labels(self) -> tuple[str, ...]:
         return self.part_u + self.part_w
 
-    @cached_property
-    def u_set(self) -> frozenset[str]:
-        return frozenset(self.part_u)
-
-    @cached_property
-    def w_set(self) -> frozenset[str]:
-        return frozenset(self.part_w)
-
-    @cached_property
-    def adjacency(self) -> dict[str, frozenset[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.vertex_labels}
-        for u, w in self.edges:
-            adj[u].add(w)
-            adj[w].add(u)
-        return {v: frozenset(ns) for v, ns in adj.items()}
-
-    def neighbors(self, v: str) -> frozenset[str]:
-        try:
-            return self.adjacency[v]
-        except KeyError:
-            raise GraphError(f"unknown vertex label: {v!r}") from None
-
-    def degree(self, v: str) -> int:
-        return len(self.neighbors(v))
-
 
 Graph = Union[SimpleGraph, BipartiteGraph]
 
@@ -265,49 +279,58 @@ def common_neighbors(g: Graph, s: Iterable[str]) -> tuple[str, ...]:
     members = sorted(set(s))
     if not members:
         raise GraphError("common_neighbors requires at least one vertex")
-    result: frozenset[str] | None = None
+    idx = g.index
+    common = -1
     for v in members:
-        ns = g.neighbors(v)
-        result = ns if result is None else result & ns
-    return tuple(sorted(result))
+        common &= idx.masks[idx.at(v)]
+    return idx.labels_of(common)
 
 
-def _bfs(adjacency: dict[str, frozenset[str]], start: str) -> dict[str, int]:
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        d = dist[v]
-        for u in adjacency[v]:
-            if u not in dist:
-                dist[u] = d + 1
-                queue.append(u)
-    return dist
+def bfs_layers(masks: tuple[int, ...], start: int) -> list[int]:
+    """Masks of the positions at distance 0, 1, 2, ... from start.
+
+    The layers are disjoint, so their sum is the set of reached positions.
+    """
+    frontier = 1 << start
+    unseen = ((1 << len(masks)) - 1) ^ frontier
+    layers = []
+    while frontier:
+        layers.append(frontier)
+        if not unseen:
+            break
+        reach = 0
+        for i in bits(frontier):
+            reach |= masks[i]
+        frontier = reach & unseen
+        unseen ^= frontier
+    return layers
 
 
 def distance(g: Graph, a: str, b: str) -> Distance:
     """Hop count of a shortest path, UNREACHABLE when none exists."""
-    g.neighbors(a)
-    g.neighbors(b)
-    return _bfs(g.adjacency, a).get(b, UNREACHABLE)
+    idx = g.index
+    target = 1 << idx.at(b)
+    for d, layer in enumerate(bfs_layers(idx.masks, idx.at(a))):
+        if layer & target:
+            return d
+    return UNREACHABLE
 
 
 def metric_summary(g: Graph) -> MetricSummary:
     """Eccentricities, diameter, radius, and connectivity by all-sources BFS."""
-    labels = g.vertex_labels
-    if not labels:
+    idx = g.index
+    if not idx.labels:
         raise GraphError("metric summary of an empty graph")
-    adjacency = g.adjacency
-    n = len(labels)
+    everything = (1 << len(idx.labels)) - 1
     ecc: dict[str, Distance] = {}
-    for v in sorted(labels):
-        dist = _bfs(adjacency, v)
-        ecc[v] = max(dist.values()) if len(dist) == n else UNREACHABLE
+    for i, v in enumerate(idx.labels):
+        layers = bfs_layers(idx.masks, i)
+        ecc[v] = len(layers) - 1 if sum(layers) == everything else UNREACHABLE
     return MetricSummary(
         eccentricities=ecc,
         diameter=max(ecc.values()),
         radius=min(ecc.values()),
-        connected=not isinstance(ecc[sorted(labels)[0]], _UnreachableType),
+        connected=ecc[idx.labels[0]] is not UNREACHABLE,
     )
 
 
@@ -348,18 +371,20 @@ def induced_subgraph(g: Graph, keep: Iterable[str]) -> Graph:
 
 def connected_components(g: Graph) -> tuple[tuple[str, ...], ...]:
     """Components as sorted label tuples, ordered by their smallest label."""
-    adjacency = g.adjacency
-    remaining = set(g.vertex_labels)
+    idx = g.index
+    remaining = (1 << len(idx.labels)) - 1
     out: list[tuple[str, ...]] = []
     while remaining:
-        start = min(remaining)
-        reached = set(_bfs(adjacency, start))
-        out.append(tuple(sorted(reached)))
-        remaining -= reached
+        reached = sum(bfs_layers(idx.masks, next(bits(remaining))))
+        out.append(idx.labels_of(reached))
+        remaining &= ~reached
     return tuple(out)
 
 
 def all_pairs_distances(g: Graph) -> dict[str, dict[str, int]]:
     """BFS distance maps from every vertex; missing entries mean unreachable."""
-    adjacency = g.adjacency
-    return {v: _bfs(adjacency, v) for v in g.vertex_labels}
+    idx = g.index
+    return {
+        v: {w: d for d, layer in enumerate(bfs_layers(idx.masks, i)) for w in idx.labels_of(layer)}
+        for i, v in enumerate(idx.labels)
+    }

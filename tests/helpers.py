@@ -109,10 +109,13 @@ def simple_cycles_up_to(g, max_len):
 
 
 def random_bipartite(rng: random.Random, max_part=6) -> BipartiteGraph:
+    """Random bipartite graph whose parts draw from one shuffled label pool
+    (v8, v9, v10, ...), so sorted label order interleaves the parts."""
     nu = rng.randint(0, max_part)
     nw = rng.randint(0, max_part)
-    us = [f"u{i}" for i in range(nu)]
-    ws = [f"w{i}" for i in range(nw)]
+    pool = [f"v{i}" for i in range(8, 8 + nu + nw)]
+    rng.shuffle(pool)
+    us, ws = pool[:nu], pool[nu:]
     p = rng.choice([0.15, 0.35, 0.6, 0.85])
     edges = [(u, w) for u in us for w in ws if rng.random() < p]
     return BipartiteGraph(tuple(us), tuple(ws), tuple(edges))

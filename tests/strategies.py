@@ -16,10 +16,12 @@ def simple_graphs(draw, min_n=0, max_n=7):
 
 @st.composite
 def bipartite_graphs(draw, max_u=5, max_w=5):
+    # Both parts draw from one shuffled pool (v8, v9, v10, ...), so sorted
+    # label order interleaves the parts and differs from construction order.
     nu = draw(st.integers(min_value=0, max_value=max_u))
     nw = draw(st.integers(min_value=0, max_value=max_w))
-    us = [f"u{i}" for i in range(nu)]
-    ws = [f"w{i}" for i in range(nw)]
+    pool = draw(st.permutations([f"v{i}" for i in range(8, 8 + nu + nw)]))
+    us, ws = pool[:nu], pool[nu:]
     edges = [(u, w) for u in us for w in ws if draw(st.booleans())]
     return BipartiteGraph(tuple(us), tuple(ws), tuple(edges))
 

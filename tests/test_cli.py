@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circgraph import cli
 from circgraph.cli import main
 from circgraph.constructions import star, triangular
 from circgraph.fileio import dumps_obj, payload_to_obj
@@ -196,10 +197,10 @@ class TestEnum:
         assert len(report["census"]) == 1
         assert report["census"][0]["u_size"] == 3
 
-    def test_worker_count_does_not_change_bytes(self, capsys):
-        _, solo, _ = run_cli(["enum", "circular", "--u", "5"], capsys)
-        _, multi, _ = run_cli(["enum", "circular", "--u", "5", "--workers", "3"], capsys)
-        assert solo == multi
+    def test_repeat_runs_print_identical_bytes(self, capsys):
+        _, first, _ = run_cli(["enum", "circular", "--u", "5"], capsys)
+        _, second, _ = run_cli(["enum", "circular", "--u", "5"], capsys)
+        assert first == second
 
     def test_missing_parameter(self, capsys):
         code, _, err = run_cli(["enum", "circular"], capsys)
@@ -263,6 +264,20 @@ class TestErrorHandling:
     def test_unknown_subcommand_usage_error(self, capsys):
         code, _, _ = run_cli(["frobnicate"], capsys)
         assert code == 2
+
+    def test_internal_failure_exits_three(self, tmp_path, capsys, monkeypatch):
+        # An internal failure must not read as exit 1, "not isomorphic".
+        path = tmp_path / "star.json"
+        path.write_text(dumps_obj(payload_to_obj(star(4))))
+
+        def fail(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "are_isomorphic", fail)
+        code, out, err = run_cli(["iso", str(path), str(path)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
 
     def test_bad_edge_shape(self, capsys, monkeypatch):
         text = dumps_obj({"format": "graph-v1", "vertices": ["a"], "edges": [["a"]]})
