@@ -6,7 +6,8 @@ Usage:
                                      [--census-max U] [--trees-max N]
 
 Prints one row per graph with its classification, the status of each check,
-and the measured diameter/radius, then a summary line. Exits 1 if any check
+the measured diameter/radius and the milliseconds spent in `classify` plus
+`run_all_checks`, then a summary line with the total time. Exits 1 if any check
 fails anywhere, so the script doubles as a quick full-corpus verification.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from circgraph import (
     classify,
@@ -47,14 +49,18 @@ def main() -> int:
     parser.add_argument("--trees-max", type=int, default=9)
     args = parser.parse_args()
 
-    header = f"{'graph':<18} {'verdict':<22} {'checks':<28} {'diam':>4} {'rad':>4}"
+    header = f"{'graph':<18} {'verdict':<22} {'checks':<28} {'diam':>4} {'rad':>4} {'ms':>8}"
     print(header)
     print("-" * len(header))
     failed = 0
     total = 0
+    total_ms = 0.0
     for name, g in survey_rows(args):
+        started = time.perf_counter()
         cls = classify(g)
         reports = run_all_checks(g, cls)
+        ms = (time.perf_counter() - started) * 1000
+        total_ms += ms
         summary = metric_summary(g)
         marks = " ".join(
             {"Pass": "ok", "Fail": "FAIL", "NotApplicable": "--"}[r.status.value]
@@ -64,11 +70,11 @@ def main() -> int:
         total += 1
         print(
             f"{name:<18} {cls.verdict.value:<22} {marks:<28} "
-            f"{str(summary.diameter):>4} {str(summary.radius):>4}"
+            f"{str(summary.diameter):>4} {str(summary.radius):>4} {ms:>8.2f}"
         )
     verdict = "all checks pass" if failed == 0 else f"{failed} FAILING CHECKS"
     print("-" * len(header))
-    print(f"{total} graphs surveyed, {verdict}")
+    print(f"{total} graphs surveyed in {total_ms:.1f} ms of checks, {verdict}")
     return 1 if failed else 0
 
 

@@ -4,8 +4,10 @@ The labeling follows refinement-with-individualization: colors are refined
 until stable by the signature (own color, sorted multiset of neighbor
 colors); the smallest non-singleton color class is the branch target; each
 branch individualizes one class member and refines again; a discrete
-coloring is a candidate vertex order whose upper-triangular adjacency bit
-string is the leaf value, and the lexicographically least leaf value wins.
+coloring is a candidate vertex order, and the least upper-triangular
+adjacency bit string wins. Leaves hold it as row integers off the index masks
+(row i: positions i+1..n-1, i+1 most significant, so fixed-width rows compare
+as the string does); only the winner is spelled out as `bits`.
 
 Class renumbering is order-preserving throughout (a class's children occupy
 its slot), so in part-respecting mode all point vertices come before all
@@ -15,7 +17,9 @@ part-isomorphic exactly when (n, u_size, bits) coincide.
 Branches are pruned with automorphisms discovered from equal-value leaves:
 a candidate in the same orbit as an already explored sibling, under the
 subgroup fixing the individualized prefix pointwise, contributes no new
-leaf values. The pruning never changes the winning leaf.
+leaf values. Each search node keeps one union-find of those orbits and feeds
+it, before each candidate, only the generators found since its last update.
+The pruning never changes the winning leaf.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .graphs import BipartiteGraph, Graph, GraphError
+from .graphs import BipartiteGraph, Graph, GraphError, bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,36 +91,22 @@ def _individualize(colors: list[int], v: int) -> list[int]:
 
 
 class _SearchState:
-    __slots__ = ("best_bits", "best_pos2v", "gens", "gen_seen", "identity")
+    __slots__ = ("best_rows", "best_pos2v", "gens", "gen_seen")
 
-    def __init__(self, n: int):
-        self.best_bits: str | None = None
+    def __init__(self):
+        self.best_rows: tuple[int, ...] | None = None
         self.best_pos2v: list[int] = []
         self.gens: list[tuple[int, ...]] = []
         self.gen_seen: set[tuple[int, ...]] = set()
-        self.identity = tuple(range(n))
-
-
-def _leaf_bits(n: int, adj: tuple[frozenset[int], ...], pos2v: list[int]) -> str:
-    parts = []
-    for i in range(n):
-        row = adj[pos2v[i]]
-        parts.append("".join("1" if pos2v[j] in row else "0" for j in range(i + 1, n)))
-    return "".join(parts)
 
 
 def _in_explored_orbit(
-    n: int,
-    gens: list[tuple[int, ...]],
+    parent: list[int],
+    fresh: list[tuple[int, ...]],
     prefix: tuple[int, ...],
     explored: list[int],
     v: int,
 ) -> bool:
-    usable = [p for p in gens if all(p[x] == x for x in prefix)]
-    if not usable:
-        return False
-    parent = list(range(n))
-
     def find(x: int) -> int:
         root = x
         while parent[root] != root:
@@ -125,11 +115,12 @@ def _in_explored_orbit(
             parent[x], x = root, parent[x]
         return root
 
-    for p in usable:
-        for a in range(n):
-            ra, rb = find(a), find(p[a])
-            if ra != rb:
-                parent[ra] = rb
+    for p in fresh:
+        if all(p[x] == x for x in prefix):
+            for a, b in enumerate(p):
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[ra] = rb
     rv = find(v)
     return any(find(u) == rv for u in explored)
 
@@ -137,6 +128,7 @@ def _in_explored_orbit(
 def _search(
     n: int,
     adj: tuple[frozenset[int], ...],
+    masks: tuple[int, ...],
     colors: list[int],
     prefix: tuple[int, ...],
     state: _SearchState,
@@ -156,24 +148,33 @@ def _search(
         pos2v = [0] * n
         for v, c in enumerate(colors):
             pos2v[c] = v
-        bits = _leaf_bits(n, adj, pos2v)
-        if state.best_bits is None or bits < state.best_bits:
-            state.best_bits = bits
+        # Position j of the leaf order is bit top-j; row i keeps the bits after i.
+        top = n - 1
+        rows = tuple(
+            sum(1 << (top - colors[u]) for u in bits(masks[v])) & ((1 << (top - i)) - 1)
+            for i, v in enumerate(pos2v[:-1])
+        )
+        if state.best_rows is None or rows < state.best_rows:
+            state.best_rows = rows
             state.best_pos2v = pos2v
-        elif bits == state.best_bits:
+        elif rows == state.best_rows and pos2v != state.best_pos2v:
             perm = [0] * n
             for i in range(n):
                 perm[state.best_pos2v[i]] = pos2v[i]
             t = tuple(perm)
-            if t != state.identity and t not in state.gen_seen and len(state.gens) < 64:
+            if t not in state.gen_seen and len(state.gens) < 64:
                 state.gens.append(t)
                 state.gen_seen.add(t)
         return
     explored: list[int] = []
+    parent, absorbed = [], 0
     for v in target:
-        if explored and _in_explored_orbit(n, state.gens, prefix, explored, v):
-            continue
-        _search(n, adj, _refine(n, adj, _individualize(colors, v)), prefix + (v,), state)
+        if explored:
+            parent = parent or list(range(n))
+            fresh, absorbed = state.gens[absorbed:], len(state.gens)
+            if _in_explored_orbit(parent, fresh, prefix, explored, v):
+                continue
+        _search(n, adj, masks, _refine(n, adj, _individualize(colors, v)), prefix + (v,), state)
         explored.append(v)
 
 
@@ -188,19 +189,18 @@ def canonical_form(g: Graph, respect_parts: bool = False) -> CanonicalForm:
         raise GraphError("part-respecting canonical form requires a bipartite graph")
     idx = g.index
     n = len(idx.labels)
-    adj = idx.neighbor_sets
+    adj = tuple(frozenset(bits(m)) for m in idx.masks)
     if respect_parts:
         init = [0 if idx.points >> v & 1 else 1 for v in range(n)]
         u_size: int | None = len(g.part_u)
     else:
         init = [0] * n
         u_size = None
-    if n == 0:
-        return CanonicalForm(0, u_size, "", {})
-    state = _SearchState(n)
-    _search(n, adj, _refine(n, adj, init), (), state)
+    state = _SearchState()
+    _search(n, adj, idx.masks, _refine(n, adj, init), (), state)
     relabeling = {idx.labels[v]: i for i, v in enumerate(state.best_pos2v)}
-    return CanonicalForm(n, u_size, state.best_bits or "", relabeling)
+    bit_string = "".join(format(r, f"0{n - 1 - i}b") for i, r in enumerate(state.best_rows))
+    return CanonicalForm(n, u_size, bit_string, relabeling)
 
 
 def _verify_mapping(

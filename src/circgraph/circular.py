@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations, product
+from itertools import combinations
 from typing import Any, Optional
 
 from .graphs import (
@@ -199,23 +199,28 @@ def verify_distance_profile(
             CheckStatus.NOT_APPLICABLE,
             {"reason": f"requires a non-trivial circular graph; classification is {cls.verdict.value}"},
         )
-    dist = all_pairs_distances(g)
-    points = sorted(g.part_u)
-    circles = sorted(g.part_w)
-
+    table = all_pairs_distances(g)
+    idx = g.index
     observed = []
     counterexample = None
-    for pairs, allowed in (
-        (combinations(points, 2), _ALLOWED_UU),
-        (combinations(circles, 2), _ALLOWED_WW),
-        (product(points, circles), _ALLOWED_UW),
+    for sources, targets, allowed in (
+        (idx.points, idx.points, _ALLOWED_UU),
+        (idx.circles, idx.circles, _ALLOWED_WW),
+        (idx.points, idx.circles, _ALLOWED_UW),
     ):
         seen = set()
-        for a, b in pairs:
-            d = dist[a].get(b, UNREACHABLE)
-            seen.add(d)
-            if counterexample is None and d not in allowed:
-                counterexample = (a, b)
+        for x in bits(sources):
+            # Same-part pairs are unordered: take only partners after x.
+            partners = targets >> (x + 1) << (x + 1) if sources == targets else targets
+            bad = 0
+            for d, layer in (*enumerate(table[x]), (UNREACHABLE, ~sum(table[x]))):
+                hit = layer & partners
+                if hit:
+                    seen.add(d)
+                    if d not in allowed:
+                        bad |= hit
+            if counterexample is None and bad:
+                counterexample = (idx.labels[x], idx.labels[next(bits(bad))])
         observed.append(sorted(seen))
     evidence = {
         "u_pair_distances": observed[0],

@@ -250,7 +250,7 @@ def report_obj(
 def certificate_to_obj(cert: IsoCertificate) -> dict:
     return {
         "isomorphic": cert.isomorphic,
-        "mapping": dict(sorted(cert.mapping.items())) if cert.mapping else None,
+        "mapping": None if cert.mapping is None else dict(sorted(cert.mapping.items())),
     }
 
 

@@ -97,11 +97,6 @@ class GraphIndex:
     def circles(self) -> int:
         return ((1 << len(self.labels)) - 1) & ~self.points
 
-    @cached_property
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        """Neighbor positions of each position, for per-vertex iteration."""
-        return tuple(frozenset(bits(m)) for m in self.masks)
-
     def at(self, v: str) -> int:
         try:
             return self.position[v]
@@ -322,10 +317,10 @@ def metric_summary(g: Graph) -> MetricSummary:
     if not idx.labels:
         raise GraphError("metric summary of an empty graph")
     everything = (1 << len(idx.labels)) - 1
-    ecc: dict[str, Distance] = {}
-    for i, v in enumerate(idx.labels):
-        layers = bfs_layers(idx.masks, i)
-        ecc[v] = len(layers) - 1 if sum(layers) == everything else UNREACHABLE
+    ecc: dict[str, Distance] = {
+        v: len(layers) - 1 if sum(layers) == everything else UNREACHABLE
+        for v, layers in zip(idx.labels, all_pairs_distances(g))
+    }
     return MetricSummary(
         eccentricities=ecc,
         diameter=max(ecc.values()),
@@ -381,10 +376,10 @@ def connected_components(g: Graph) -> tuple[tuple[str, ...], ...]:
     return tuple(out)
 
 
-def all_pairs_distances(g: Graph) -> dict[str, dict[str, int]]:
-    """BFS distance maps from every vertex; missing entries mean unreachable."""
-    idx = g.index
-    return {
-        v: {w: d for d, layer in enumerate(bfs_layers(idx.masks, i)) for w in idx.labels_of(layer)}
-        for i, v in enumerate(idx.labels)
-    }
+def all_pairs_distances(g: Graph) -> list[list[int]]:
+    """BFS layer masks from every position: entry i is bfs_layers(masks, i).
+
+    A position in no layer of entry i is unreachable from position i.
+    """
+    masks = g.index.masks
+    return [bfs_layers(masks, i) for i in range(len(masks))]

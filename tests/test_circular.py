@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from circgraph.circular import (
     CheckStatus,
+    CircularClassification,
     Verdict,
     ViolationKind,
     check_linear_axioms,
@@ -18,10 +19,10 @@ from circgraph.circular import (
     verify_point_degrees,
     verify_w_pair_bound,
 )
-from circgraph.graphs import BipartiteGraph, common_neighbors
+from circgraph.graphs import UNREACHABLE, BipartiteGraph, common_neighbors
 from circgraph.constructions import derive_linear, star, triangular
 
-from helpers import oracle_distance, relabeled
+from helpers import oracle_bfs, oracle_distance, random_bipartite, relabeled
 from strategies import bipartite_graphs
 
 
@@ -173,6 +174,73 @@ class TestDistanceProfile:
 
     def test_star_not_applicable(self):
         assert verify_distance_profile(star(5)).status is CheckStatus.NOT_APPLICABLE
+
+
+def oracle_distance_profile(g):
+    """Observed distance sets and the first disallowed pair, in the
+    documented order: point pairs, circle pairs, then point x circle, each
+    lexicographic."""
+    points, circles = sorted(g.part_u), sorted(g.part_w)
+    dist = {v: oracle_bfs(g, v) for v in g.vertex_labels}
+    observed, first = [], None
+    for pairs, allowed in (
+        (combinations(points, 2), {2}),
+        (combinations(circles, 2), {2, 4}),
+        ([(a, b) for a in points for b in circles], {1, 3}),
+    ):
+        seen = set()
+        for a, b in pairs:
+            d = dist[a].get(b, UNREACHABLE)
+            seen.add(d)
+            if first is None and d not in allowed:
+                first = (a, b)
+        observed.append(seen)
+    return observed, first
+
+
+def two_copies(g):
+    def copy(v):
+        return v + "'"
+
+    return BipartiteGraph(
+        g.part_u + tuple(map(copy, g.part_u)),
+        g.part_w + tuple(map(copy, g.part_w)),
+        g.edges + tuple((copy(a), copy(b)) for a, b in g.edges),
+    )
+
+
+class TestDistanceProfileFailures:
+    """The Fail path, reached by forcing a non-trivial verdict on graphs
+    that are not circular."""
+
+    FORCED = CircularClassification(Verdict.NON_TRIVIAL_CIRCULAR, None, False)
+
+    def check_against_oracle(self, g):
+        report = verify_distance_profile(g, self.FORCED)
+        observed, first = oracle_distance_profile(g)
+        keys = ("u_pair_distances", "w_pair_distances", "u_w_distances")
+        for key, seen in zip(keys, observed):
+            assert report.evidence[key] == sorted(seen)
+        assert report.counterexample == first
+        assert report.status is (CheckStatus.PASS if first is None else CheckStatus.FAIL)
+        return report
+
+    def test_disconnected_graphs(self):
+        graphs = [two_copies(triangular(4)), two_copies(star(5)), two_copies(k_uw(2, 3))]
+        g = triangular(5)
+        graphs.append(BipartiteGraph(g.part_u + ("lone",), g.part_w, g.edges))
+        graphs.append(BipartiteGraph(g.part_u, g.part_w + ("lone",), g.edges))
+        for g in graphs:
+            report = self.check_against_oracle(g)
+            assert report.status is CheckStatus.FAIL
+            assert UNREACHABLE in report.evidence["u_w_distances"]
+
+    def test_random_bipartite_graphs(self):
+        rng = random.Random(77)
+        reports = [self.check_against_oracle(random_bipartite(rng, 7)) for _ in range(120)]
+        failing = [r for r in reports if r.status is CheckStatus.FAIL]
+        assert failing
+        assert any(UNREACHABLE in r.evidence["w_pair_distances"] for r in failing)
 
 
 class TestMetricBounds:

@@ -1,7 +1,9 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,11 @@ from hypothesis import strategies as st
 
 from circgraph import cli
 from circgraph.cli import main
-from circgraph.constructions import star, triangular
+from circgraph.constructions import neighborhood_graph, star, triangular
 from circgraph.fileio import dumps_obj, payload_to_obj
+from circgraph.graphs import disjoint_union
+
+from helpers import relabeled
 
 C6_FILE = dumps_obj(
     {
@@ -175,6 +180,13 @@ class TestIso:
         code, _, _ = run_cli(["iso", "--respect-parts", str(g1), str(g2)], capsys)
         assert code == 1
 
+    def test_empty_graphs_are_isomorphic_with_empty_mapping(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text(dumps_obj({"format": "graph-v1", "vertices": [], "edges": []}))
+        code, out, _ = run_cli(["iso", str(empty), str(empty)], capsys)
+        assert code == 0
+        assert json.loads(out) == {"isomorphic": True, "mapping": {}}
+
     def test_double_stdin_rejected(self, capsys, monkeypatch):
         code, _, err = run_cli(["iso", "-", "-"], capsys, monkeypatch, stdin_text="{}")
         assert code == 2
@@ -210,6 +222,56 @@ class TestEnum:
     def test_out_of_range(self, capsys):
         code, _, err = run_cli(["enum", "circular", "--u", "9"], capsys)
         assert code == 2
+
+
+class TestPinnedOutput:
+    """sha256 of stdout, recorded once: canonical bits and iso mappings must
+    not drift between versions."""
+
+    PINNED = {
+        "enum circular --u 5": (
+            "37c52a829651160ff90690bc78ed70a2a2afc851d32f5e5dfa2c8dad686d8d2a"
+        ),
+        "enum trees --max 8": (
+            "48ea44f1c90f0f28fb5d7fe27be5ddc9eb976c45f093a24601fa6359f090f33f"
+        ),
+        "iso --respect-parts triangular(6)": (
+            "4aa18e02166626ea8c2389d044d2189d03c8a725e2ef1f0f8555aebbb660bbfa"
+        ),
+        "iso neighborhood(triangular(5)) doubling": (
+            "66fedabb77ad911ff179358895fc6f22ff4f17ee9147819ae0776eede3848f1e"
+        ),
+    }
+
+    def assert_pinned(self, name, argv, capsys, code=0):
+        got, out, _ = run_cli(argv, capsys)
+        assert got == code
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.PINNED[name]
+
+    def test_circular_census(self, capsys):
+        self.assert_pinned("enum circular --u 5", ["enum", "circular", "--u", "5"], capsys)
+
+    def test_tree_census(self, capsys):
+        self.assert_pinned("enum trees --max 8", ["enum", "trees", "--max", "8"], capsys)
+
+    def test_part_respecting_iso(self, tmp_path, capsys):
+        rng = random.Random(2024)
+        paths = []
+        for name in ("a", "b"):
+            g, _ = relabeled(triangular(6), rng)
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(dumps_obj(payload_to_obj(g)))
+        argv = ["iso", "--respect-parts", str(paths[0]), str(paths[1])]
+        self.assert_pinned("iso --respect-parts triangular(6)", argv, capsys)
+
+    def test_neighborhood_doubling_iso(self, tmp_path, capsys):
+        g = triangular(5)
+        nbhd = tmp_path / "nbhd.json"
+        nbhd.write_text(dumps_obj(payload_to_obj(neighborhood_graph(g))))
+        double = tmp_path / "double.json"
+        double.write_text(dumps_obj(payload_to_obj(disjoint_union(g, g))))
+        argv = ["iso", str(nbhd), str(double)]
+        self.assert_pinned("iso neighborhood(triangular(5)) doubling", argv, capsys)
 
 
 class TestExport:
