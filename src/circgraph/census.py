@@ -1,12 +1,11 @@
 """Exhaustive censuses of small circular graphs and circular trees.
 
-The circular census is an exact-cover search: blocks are bit masks over the
-points, each block owns the set of point triples inside it, and a family is
-admitted exactly when those triple sets partition all triples. Walking the
-lexicographically first uncovered triple and trying every compatible block
-containing it generates each admissible family once. Results are
-deduplicated up to part-respecting isomorphism and re-validated with
-`classify`.
+The circular census is an exact-cover search over point-label triples: each
+block is the bit mask of the triples inside it, and walking the first
+uncovered triple yields, one at a time, each family whose masks partition
+all triples. Both censuses deduplicate up to part-respecting isomorphism and
+describe only the class winners; `classify` re-validates each winner, which
+catches any non-circular family, as it would form a class of its own.
 
 `brute_force_classify` re-implements recognition with raw edge-list scans
 and exists purely as a differential oracle for `classify`.
@@ -17,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import Any, Iterable, Iterator
 
 from .canonical import CanonicalForm, canonical_form
 from .circular import CircularClassification, Verdict, Violation, ViolationKind, classify
@@ -39,14 +39,14 @@ class CensusEntry:
     w_degrees: tuple[int, ...]
 
 
-def _make_entry(g: BipartiteGraph) -> CensusEntry:
+def _make_entry(g: BipartiteGraph, canonical: CanonicalForm) -> CensusEntry:
     cls = classify(g)
     if not cls.is_circular:
         raise RuntimeError(f"enumeration produced a non-circular graph: {g!r}")
     summary = metric_summary(g)
     return CensusEntry(
         graph=g,
-        canonical=canonical_form(g, respect_parts=True),
+        canonical=canonical,
         u_size=len(g.part_u),
         w_size=len(g.part_w),
         verdict=cls.verdict,
@@ -57,11 +57,41 @@ def _make_entry(g: BipartiteGraph) -> CensusEntry:
     )
 
 
-def _family_graph(points: tuple[str, ...], family: tuple[int, ...], block_members) -> BipartiteGraph:
-    blocks = tuple(
-        tuple(points[i] for i in block_members[b]) for b in sorted(family)
-    )
-    return from_design(Design(points, blocks))
+def _classes(candidates: Iterable[tuple[Any, BipartiteGraph]]) -> tuple[CensusEntry, ...]:
+    """An entry for the least-ranked (rank, graph) candidate of each
+    part-respecting isomorphism class, first seen on ties, in canonical order."""
+    winners: dict[tuple, tuple[Any, BipartiteGraph, CanonicalForm]] = {}
+    for rank, g in candidates:
+        canonical = canonical_form(g, respect_parts=True)
+        best = winners.get(canonical.key)
+        if best is None or rank < best[0]:
+            winners[canonical.key] = (rank, g, canonical)
+    return tuple(_make_entry(g, canonical) for _, (_, g, canonical) in sorted(winners.items()))
+
+
+def _designs(points: tuple[str, ...]) -> Iterator[Design]:
+    """The exact cover: every admissible block family, as a Design."""
+    bit = {t: 1 << i for i, t in enumerate(combinations(points, 3))}
+    # containing[t]: (mask, block) for each block holding the triple with bit t.
+    containing: dict[int, list] = {b: [] for b in bit.values()}
+    for size in range(3, len(points) + 1):
+        for block in combinations(points, size):
+            inside = [bit[t] for t in combinations(block, 3)]
+            mask = sum(inside)
+            for t in inside:
+                containing[t].append((mask, block))
+    full = (1 << len(bit)) - 1
+
+    def search(covered: int, chosen: tuple[tuple[str, ...], ...]) -> Iterator[Design]:
+        if covered == full:
+            yield Design(points, chosen)
+            return
+        # The lowest zero bit of covered: the first uncovered triple.
+        for mask, block in containing[~covered & (covered + 1)]:
+            if not mask & covered:
+                yield from search(covered | mask, chosen + (block,))
+
+    return search(0, ())
 
 
 def enumerate_circular(u_size: int) -> tuple[CensusEntry, ...]:
@@ -76,49 +106,7 @@ def enumerate_circular(u_size: int) -> tuple[CensusEntry, ...]:
     if not 3 <= u_size <= 7:
         raise GraphError(f"point count must be between 3 and 7: got {u_size}")
     points = tuple(str(i) for i in range(1, u_size + 1))
-    triples = list(combinations(range(u_size), 3))
-    block_members: list[tuple[int, ...]] = []
-    block_mask: list[int] = []
-    for size in range(3, u_size + 1):
-        for members in combinations(range(u_size), size):
-            mask = 0
-            member_set = set(members)
-            for t_index, t in enumerate(triples):
-                if set(t) <= member_set:
-                    mask |= 1 << t_index
-            block_members.append(members)
-            block_mask.append(mask)
-    containing: list[list[int]] = [[] for _ in triples]
-    for b, mask in enumerate(block_mask):
-        for t_index in range(len(triples)):
-            if mask >> t_index & 1:
-                containing[t_index].append(b)
-    full = (1 << len(triples)) - 1
-
-    def collect(covered: int, chosen: list[int], out: list[tuple[int, ...]]) -> None:
-        if covered == full:
-            out.append(tuple(chosen))
-            return
-        t_index = next(i for i in range(len(triples)) if not covered >> i & 1)
-        for b in containing[t_index]:
-            mask = block_mask[b]
-            if mask & covered:
-                continue
-            chosen.append(b)
-            collect(covered | mask, chosen, out)
-            chosen.pop()
-
-    families: list[tuple[int, ...]] = []
-    collect(0, [], families)
-
-    reps: dict[tuple, tuple[tuple, CensusEntry]] = {}
-    for family in families:
-        fam_key = tuple(sorted(block_members[b] for b in family))
-        entry = _make_entry(_family_graph(points, family, block_members))
-        key = entry.canonical.key
-        if key not in reps or fam_key < reps[key][0]:
-            reps[key] = (fam_key, entry)
-    return tuple(entry for _, (_, entry) in sorted(reps.items(), key=lambda kv: kv[0]))
+    return _classes((d.blocks, from_design(d)) for d in _designs(points))
 
 
 def free_trees(n: int) -> tuple[SimpleGraph, ...]:
@@ -156,16 +144,17 @@ def enumerate_circular_trees(max_n: int) -> tuple[CensusEntry, ...]:
     """
     if not 1 <= max_n <= 10:
         raise GraphError(f"tree size bound must be between 1 and 10: got {max_n}")
-    reps: dict[tuple, CensusEntry] = {}
-    for n in range(1, max_n + 1):
-        for tree in free_trees(n):
-            side_a, side_b = _tree_bipartition(tree)
-            for part_u, part_w in ((side_a, side_b), (side_b, side_a)):
-                g = BipartiteGraph(part_u, part_w, tree.edges)
-                if classify(g).is_circular:
-                    entry = _make_entry(g)
-                    reps.setdefault(entry.canonical.key, entry)
-    return tuple(entry for _, entry in sorted(reps.items(), key=lambda kv: kv[0]))
+
+    def circular() -> Iterator[BipartiteGraph]:
+        for n in range(1, max_n + 1):
+            for tree in free_trees(n):
+                side_a, side_b = _tree_bipartition(tree)
+                for part_u, part_w in ((side_a, side_b), (side_b, side_a)):
+                    g = BipartiteGraph(part_u, part_w, tree.edges)
+                    if classify(g).is_circular:
+                        yield g
+
+    return _classes(enumerate(circular()))
 
 
 def _tree_bipartition(tree: SimpleGraph) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -128,11 +128,11 @@ def classify(g: BipartiteGraph) -> CircularClassification:
     )
 
 
-def _not_applicable(check: str, classification: CircularClassification) -> CheckReport:
+def _not_applicable(check: str, requirement: str, cls: CircularClassification) -> CheckReport:
     return CheckReport(
         check,
         CheckStatus.NOT_APPLICABLE,
-        {"reason": f"requires a circular graph; classification is {classification.verdict.value}"},
+        {"reason": f"requires {requirement}; classification is {cls.verdict.value}"},
     )
 
 
@@ -142,7 +142,7 @@ def verify_w_pair_bound(
     """Check cn(w1, w2) <= 2 over every unordered pair of circles."""
     cls = classification or classify(g)
     if not cls.is_circular:
-        return _not_applicable("w_pair_bound", cls)
+        return _not_applicable("w_pair_bound", "a circular graph", cls)
     idx = g.index
     m = idx.masks
     max_cn = 0
@@ -167,11 +167,7 @@ def verify_point_degrees(
     """Check that every point of a non-trivial circular graph has degree >= 3."""
     cls = classification or classify(g)
     if cls.verdict is not Verdict.NON_TRIVIAL_CIRCULAR:
-        return CheckReport(
-            "point_degrees",
-            CheckStatus.NOT_APPLICABLE,
-            {"reason": f"requires a non-trivial circular graph; classification is {cls.verdict.value}"},
-        )
+        return _not_applicable("point_degrees", "a non-trivial circular graph", cls)
     min_degree, argmin = min((g.degree(u), u) for u in sorted(g.part_u))
     evidence = {"min_degree": min_degree, "vertex": argmin}
     if min_degree >= 3:
@@ -194,11 +190,7 @@ def verify_distance_profile(
     """
     cls = classification or classify(g)
     if cls.verdict is not Verdict.NON_TRIVIAL_CIRCULAR:
-        return CheckReport(
-            "distance_profile",
-            CheckStatus.NOT_APPLICABLE,
-            {"reason": f"requires a non-trivial circular graph; classification is {cls.verdict.value}"},
-        )
+        return _not_applicable("distance_profile", "a non-trivial circular graph", cls)
     table = all_pairs_distances(g)
     idx = g.index
     observed = []
@@ -238,7 +230,7 @@ def verify_metric_bounds(
     """Check diameter and radius: (2, 1) for trivial, (3..4, 3) for non-trivial."""
     cls = classification or classify(g)
     if not cls.is_circular:
-        return _not_applicable("metric_bounds", cls)
+        return _not_applicable("metric_bounds", "a circular graph", cls)
     summary = metric_summary(g)
     trivial = cls.verdict is Verdict.TRIVIAL_CIRCULAR
     evidence = {

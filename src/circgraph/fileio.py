@@ -94,6 +94,9 @@ def parse_payload(text: str) -> Payload:
         raise FileFormatError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except (RecursionError, ValueError) as exc:
+        # Nesting too deep to decode, or an integer past the int-string limit.
+        raise FileFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise FileFormatError("top-level JSON value must be an object")
     fmt = obj.get("format")

@@ -85,7 +85,8 @@ class GraphIndex:
     Position i holds the i-th label in sorted order, so reading positions in
     ascending order reads labels in lexicographic order. Bit j of masks[i] is
     set when positions i and j are adjacent; `points` has the bits of the
-    point part of a bipartite graph and is 0 for a simple graph.
+    point part of a bipartite graph and is 0 for a simple graph. `layers`,
+    the all-sources BFS table, is computed once per graph, on first use.
     """
 
     labels: tuple[str, ...]
@@ -105,6 +106,10 @@ class GraphIndex:
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in bits(mask))
+
+    @cached_property
+    def layers(self) -> tuple[list[int], ...]:
+        return tuple(bfs_layers(self.masks, i) for i in range(len(self.masks)))
 
 
 class _Indexed:
@@ -376,10 +381,10 @@ def connected_components(g: Graph) -> tuple[tuple[str, ...], ...]:
     return tuple(out)
 
 
-def all_pairs_distances(g: Graph) -> list[list[int]]:
+def all_pairs_distances(g: Graph) -> tuple[list[int], ...]:
     """BFS layer masks from every position: entry i is bfs_layers(masks, i).
 
-    A position in no layer of entry i is unreachable from position i.
+    A position in no layer of entry i is unreachable from position i. The
+    table is computed once per graph and shared: do not modify it.
     """
-    masks = g.index.masks
-    return [bfs_layers(masks, i) for i in range(len(masks))]
+    return g.index.layers

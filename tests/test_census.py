@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from circgraph import census
 from circgraph.canonical import are_isomorphic
 from circgraph.census import (
     brute_force_classify,
@@ -109,6 +110,19 @@ class TestCircularCensus:
             g = entry.graph
             cert = are_isomorphic(neighborhood_graph(g), disjoint_union(g, g))
             assert cert.isomorphic
+
+    def test_only_class_winners_are_described(self, monkeypatch):
+        calls = {"from_design": 0, "classify": 0, "metric_summary": 0}
+        for name in calls:
+
+            def counting(*args, _name=name, _real=getattr(census, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(census, name, counting)
+        enumerate_circular(5)
+        # 7 labeled families fall into 3 classes.
+        assert calls == {"from_design": 7, "classify": 3, "metric_summary": 3}
 
 
 class TestCircularTrees:

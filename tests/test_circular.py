@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
+from circgraph import graphs
 from circgraph.circular import (
     CheckStatus,
     CircularClassification,
@@ -319,3 +320,16 @@ class TestRunAllChecks:
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_triangular_family_all_pass(self, n):
         assert all(r.status is CheckStatus.PASS for r in run_all_checks(triangular(n)))
+
+    def test_one_bfs_per_vertex(self, monkeypatch):
+        # The distance profile and the metric bounds read one shared table.
+        starts = []
+        real = graphs.bfs_layers
+
+        def counting(masks, start):
+            starts.append(start)
+            return real(masks, start)
+
+        monkeypatch.setattr(graphs, "bfs_layers", counting)
+        run_all_checks(triangular(6))
+        assert len(starts) == 26

@@ -241,6 +241,12 @@ class TestPinnedOutput:
         "iso neighborhood(triangular(5)) doubling": (
             "66fedabb77ad911ff179358895fc6f22ff4f17ee9147819ae0776eede3848f1e"
         ),
+        "enum circular --u 6": (
+            "35922d652634265e782702c791d33114894f28b5c4c02fab7fd0f4062e33088b"
+        ),
+        "build triangular 7 | verify -": (
+            "3724cfdea251ab9d01722e29a6105bd6663d53287c8d6007e9947c405f61ad2f"
+        ),
     }
 
     def assert_pinned(self, name, argv, capsys, code=0):
@@ -272,6 +278,14 @@ class TestPinnedOutput:
         double.write_text(dumps_obj(payload_to_obj(disjoint_union(g, g))))
         argv = ["iso", str(nbhd), str(double)]
         self.assert_pinned("iso neighborhood(triangular(5)) doubling", argv, capsys)
+
+    def test_circular_census_u6(self, capsys):
+        self.assert_pinned("enum circular --u 6", ["enum", "circular", "--u", "6"], capsys)
+
+    def test_verify_built_triangular(self, capsys, monkeypatch):
+        _, built, _ = run_cli(["build", "triangular", "7"], capsys)
+        monkeypatch.setattr("sys.stdin", io.StringIO(built))
+        self.assert_pinned("build triangular 7 | verify -", ["verify", "-"], capsys)
 
 
 class TestExport:
@@ -340,6 +354,20 @@ class TestErrorHandling:
         assert code == 3
         assert out == ""
         assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 200_000 + "]" * 200_000,
+            '{"format": "graph-v1", "vertices": [' + "1" * 5000 + "]}",
+        ],
+        ids=["nested-200k-deep", "5000-digit-integer"],
+    )
+    def test_hostile_json_is_an_input_error(self, text, capsys, monkeypatch):
+        code, out, err = run_cli(["verify", "-"], capsys, monkeypatch, stdin_text=text)
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
 
     def test_bad_edge_shape(self, capsys, monkeypatch):
         text = dumps_obj({"format": "graph-v1", "vertices": ["a"], "edges": [["a"]]})
