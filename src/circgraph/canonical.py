@@ -1,17 +1,21 @@
 """Canonical labeling and isomorphism certificates at desk scale.
 
-The labeling follows refinement-with-individualization: colors are refined
-until stable by the signature (own color, sorted multiset of neighbor
-colors); the smallest non-singleton color class is the branch target; each
-branch individualizes one class member and refines again; a discrete
-coloring is a candidate vertex order, and the least upper-triangular
-adjacency bit string wins. Leaves hold it as row integers off the index masks
-(row i: positions i+1..n-1, i+1 most significant, so fixed-width rows compare
-as the string does); only the winner is spelled out as `bits`.
+The labeling follows refinement-with-individualization over one ordered
+partition: a list of cells, each listing its positions in ascending order.
+Refinement splits every cell of two or more members by its members' sorted
+neighbor-cell indices until no cell splits; the pieces take their cell's
+slot in key order, and singletons are never re-sorted. The smallest cell of
+two or more members (lowest index on ties) is the branch target; each branch
+moves one member into a singleton just before the rest of its cell and
+refines again. A discrete partition, read cell by cell, is a candidate vertex
+order, and the least upper-triangular adjacency bit string wins. Leaves hold
+it as row integers (row i: positions i+1..n-1, i+1 most significant, so
+fixed-width rows compare as the string does); only the winner is spelled out
+as `bits`.
 
-Class renumbering is order-preserving throughout (a class's children occupy
-its slot), so in part-respecting mode all point vertices come before all
-circle vertices in the canonical order; two bipartite graphs are then
+Cells never move past each other, so in part-respecting mode, which starts
+from the cells (points, circles), all point vertices come before all circle
+vertices in the canonical order; two bipartite graphs are then
 part-isomorphic exactly when (n, u_size, bits) coincide.
 
 Branches are pruned with automorphisms discovered from equal-value leaves:
@@ -61,43 +65,35 @@ class IsoCertificate:
     mapping: Optional[Mapping[str, str]] = None
 
 
-def _refine(n: int, adj: tuple[frozenset[int], ...], colors: list[int]) -> list[int]:
-    # Stable point: every class is determined by (color, neighbor colors).
-    # New ids follow signature order, whose first component is the old id,
-    # so renumbering preserves the existing class order.
+def _refine(nbrs: tuple[tuple[int, ...], ...], cells: list[list[int]]) -> list[list[int]]:
+    # Stable point: no cell splits by its members' neighbor-cell indices.
+    # Pieces take their cell's slot in key order; singletons never split.
+    where = [0] * len(nbrs)
     while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)
-        ]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
-
-
-def _individualize(colors: list[int], v: int) -> list[int]:
-    # v takes its class's slot; former classmates shift one slot down.
-    c = colors[v]
-    out = []
-    for u, cu in enumerate(colors):
-        if cu < c or (u == v and cu == c):
-            out.append(cu)
-        elif cu == c:
-            out.append(c + 1)
-        else:
-            out.append(cu + 1)
-    return out
+        for i, cell in enumerate(cells):
+            for v in cell:
+                where[v] = i
+        out: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            pieces: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                pieces.setdefault(tuple(sorted([where[u] for u in nbrs[v]])), []).append(v)
+            out.extend(pieces[k] for k in sorted(pieces))
+        if len(out) == len(cells):
+            return cells
+        cells = out
 
 
 class _SearchState:
-    __slots__ = ("best_rows", "best_pos2v", "gens", "gen_seen")
+    __slots__ = ("best_rows", "best_pos2v", "gens")
 
     def __init__(self):
         self.best_rows: tuple[int, ...] | None = None
         self.best_pos2v: list[int] = []
         self.gens: list[tuple[int, ...]] = []
-        self.gen_seen: set[tuple[int, ...]] = set()
 
 
 def _in_explored_orbit(
@@ -126,32 +122,25 @@ def _in_explored_orbit(
 
 
 def _search(
-    n: int,
-    adj: tuple[frozenset[int], ...],
-    masks: tuple[int, ...],
-    colors: list[int],
+    nbrs: tuple[tuple[int, ...], ...],
+    cells: list[list[int]],
     prefix: tuple[int, ...],
     state: _SearchState,
 ) -> None:
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    target: list[int] | None = None
-    target_color = -1
-    for c in sorted(cells):
-        members = cells[c]
-        if len(members) >= 2 and (
-            target is None or (len(members), c) < (len(target), target_color)
-        ):
-            target, target_color = members, c
-    if target is None:
-        pos2v = [0] * n
-        for v, c in enumerate(colors):
-            pos2v[c] = v
+    n = len(nbrs)
+    t = -1
+    for i, cell in enumerate(cells):
+        if len(cell) >= 2 and (t < 0 or len(cell) < len(cells[t])):
+            t = i
+    if t < 0:
+        pos2v = [cell[0] for cell in cells]
+        pos = [0] * n
+        for i, v in enumerate(pos2v):
+            pos[v] = i
         # Position j of the leaf order is bit top-j; row i keeps the bits after i.
         top = n - 1
         rows = tuple(
-            sum(1 << (top - colors[u]) for u in bits(masks[v])) & ((1 << (top - i)) - 1)
+            sum(1 << (top - pos[u]) for u in nbrs[v]) & ((1 << (top - i)) - 1)
             for i, v in enumerate(pos2v[:-1])
         )
         if state.best_rows is None or rows < state.best_rows:
@@ -161,11 +150,11 @@ def _search(
             perm = [0] * n
             for i in range(n):
                 perm[state.best_pos2v[i]] = pos2v[i]
-            t = tuple(perm)
-            if t not in state.gen_seen and len(state.gens) < 64:
-                state.gens.append(t)
-                state.gen_seen.add(t)
+            p = tuple(perm)
+            if len(state.gens) < 64 and p not in state.gens:
+                state.gens.append(p)
         return
+    target = cells[t]
     explored: list[int] = []
     parent, absorbed = [], 0
     for v in target:
@@ -174,7 +163,9 @@ def _search(
             fresh, absorbed = state.gens[absorbed:], len(state.gens)
             if _in_explored_orbit(parent, fresh, prefix, explored, v):
                 continue
-        _search(n, adj, masks, _refine(n, adj, _individualize(colors, v)), prefix + (v,), state)
+        rest = [u for u in target if u != v]
+        refined = _refine(nbrs, cells[:t] + [[v], rest] + cells[t + 1 :])
+        _search(nbrs, refined, prefix + (v,), state)
         explored.append(v)
 
 
@@ -189,15 +180,16 @@ def canonical_form(g: Graph, respect_parts: bool = False) -> CanonicalForm:
         raise GraphError("part-respecting canonical form requires a bipartite graph")
     idx = g.index
     n = len(idx.labels)
-    adj = tuple(frozenset(bits(m)) for m in idx.masks)
+    # Tuples: reading bits(mask) inside the refinement loop was slower on dense graphs.
+    nbrs = tuple(tuple(bits(m)) for m in idx.masks)
     if respect_parts:
-        init = [0 if idx.points >> v & 1 else 1 for v in range(n)]
+        cells = [list(bits(idx.points)), list(bits(idx.circles))]
         u_size: int | None = len(g.part_u)
     else:
-        init = [0] * n
+        cells = [list(range(n))]
         u_size = None
     state = _SearchState()
-    _search(n, adj, idx.masks, _refine(n, adj, init), (), state)
+    _search(nbrs, _refine(nbrs, [c for c in cells if c]), (), state)
     relabeling = {idx.labels[v]: i for i, v in enumerate(state.best_pos2v)}
     bit_string = "".join(format(r, f"0{n - 1 - i}b") for i, r in enumerate(state.best_rows))
     return CanonicalForm(n, u_size, bit_string, relabeling)

@@ -9,7 +9,7 @@ from collections import deque
 from itertools import combinations, permutations
 import random
 
-from circgraph.graphs import UNREACHABLE, BipartiteGraph
+from circgraph.graphs import UNREACHABLE, BipartiteGraph, SimpleGraph
 
 
 def oracle_bfs(g, start):
@@ -137,8 +137,6 @@ def relabeled(g, rng: random.Random):
             ),
             mapping,
         )
-    from circgraph.graphs import SimpleGraph
-
     return SimpleGraph(tuple(mapping[v] for v in g.vertices), edges), mapping
 
 
@@ -163,3 +161,78 @@ def dumb_circular_families(u_size):
         if all(c == 1 for c in cover.values()):
             families.add(tuple(sorted(chosen)))
     return families
+
+
+def reference_refine(n, adj, colors):
+    """Colour refinement by global signature (own colour, sorted neighbour
+    colours), renumbered in signature order; the reference for the cell
+    order of `canonical._refine`. `adj[v]` is the set of v's neighbours."""
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)
+        ]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [rank[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def reference_individualize(colors, v):
+    """v takes its class's slot; former classmates shift one slot down."""
+    c = colors[v]
+    out = []
+    for u, cu in enumerate(colors):
+        if cu < c or (u == v and cu == c):
+            out.append(cu)
+        elif cu == c:
+            out.append(c + 1)
+        else:
+            out.append(cu + 1)
+    return out
+
+
+def _simple(n, adjacent, prefix):
+    labels = [f"{prefix}{i}" for i in range(n)]
+    edges = tuple((labels[a], labels[b]) for a, b in combinations(range(n), 2) if adjacent(a, b))
+    return SimpleGraph(tuple(labels), edges)
+
+
+def shrikhande():
+    """Cayley graph of Z4 x Z4 on steps +-(1,0), +-(0,1), +-(1,1): srg(16,6,2,2)."""
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    return _simple(16, lambda a, b: ((b // 4 - a // 4) % 4, (b % 4 - a % 4) % 4) in steps, "s")
+
+
+def rook4():
+    """The 4x4 rook's graph: srg(16,6,2,2), not isomorphic to Shrikhande's."""
+    return _simple(16, lambda a, b: a // 4 == b // 4 or a % 4 == b % 4, "r")
+
+
+def paley(p):
+    squares = {x * x % p for x in range(1, p)}
+    return _simple(p, lambda a, b: (b - a) % p in squares, "p")
+
+
+def cfi_k4(twisted):
+    """Cai-Fuerer-Immerman graph over K4: 40 vertices, 60 edges.
+
+    Vertex x of K4 becomes one a-vertex per even subset S of its three edges
+    and two b-vertices (bit 0, bit 1) per edge e; a_S meets bit 1 of e when
+    e is in S, else bit 0. The two ends of each K4 edge join bit to bit,
+    crossed on the first edge when twisted. The twisted and untwisted graphs
+    are not isomorphic, and colour refinement cannot tell them apart.
+    """
+    k4 = list(combinations(range(4), 2))
+    edges = []
+    for x in range(4):
+        incident = [e for e in k4 if x in e]
+        for size in (0, 2):
+            for subset in combinations(incident, size):
+                a = f"a{x}:" + ",".join(f"{e[0]}{e[1]}" for e in subset)
+                edges.extend((a, f"b{x}:{e[0]}{e[1]}:{int(e in subset)}") for e in incident)
+    for i, (x, y) in enumerate(k4):
+        for bit in (0, 1):
+            other = bit ^ (twisted and i == 0)
+            edges.append((f"b{x}:{x}{y}:{bit}", f"b{y}:{x}{y}:{other}"))
+    return SimpleGraph(tuple(sorted({v for e in edges for v in e})), tuple(edges))

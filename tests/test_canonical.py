@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circgraph.canonical import are_isomorphic, canonical_form
+from circgraph.canonical import _refine, are_isomorphic, canonical_form
 from circgraph.constructions import neighborhood_graph, star, triangular
 from circgraph.graphs import (
     BipartiteGraph,
@@ -17,7 +17,18 @@ from circgraph.graphs import (
     disjoint_union,
 )
 
-from helpers import oracle_isomorphic, oracle_part_isomorphic, random_bipartite, relabeled
+from helpers import (
+    cfi_k4,
+    oracle_isomorphic,
+    oracle_part_isomorphic,
+    paley,
+    random_bipartite,
+    reference_individualize,
+    reference_refine,
+    relabeled,
+    rook4,
+    shrikhande,
+)
 from strategies import simple_graphs
 
 
@@ -178,11 +189,22 @@ class TestPruningNeutrality:
             ]
             graphs.append(SimpleGraph(tuple(labels), tuple(edges)))
 
+        real = canonical_module._in_explored_orbit
+        verdicts = []
+
+        def recorded(*args):
+            verdicts.append(real(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(canonical_module, "_in_explored_orbit", recorded)
         pruned = [canonical_form(g).key for g in graphs]
+        assert True in verdicts  # the corpus does prune some branch
+        calls = []
         monkeypatch.setattr(
-            canonical_module, "_in_explored_orbit", lambda *args: False
+            canonical_module, "_in_explored_orbit", lambda *args: calls.append(args) or False
         )
         exhaustive = [canonical_form(g).key for g in graphs]
+        assert calls
         assert pruned == exhaustive
 
 
@@ -211,3 +233,97 @@ class TestPartRespectingSoundness:
             cert = are_isomorphic(g, h, respect_parts=True)
             assert cert.isomorphic
             assert {cert.mapping[u] for u in g.part_u} == set(h.part_u)
+
+
+def neighbor_tuples(g):
+    return tuple(tuple(i for i in range(len(g.index.masks)) if m >> i & 1) for m in g.index.masks)
+
+
+class TestRefinementOrder:
+    """Cells of `_refine` against the colour classes of the global-signature
+    reference, along random individualization chains."""
+
+    def check_chain(self, g, respect_parts, rng):
+        idx = g.index
+        n = len(idx.labels)
+        nbrs = neighbor_tuples(g)
+        adj = [set(t) for t in nbrs]
+        if respect_parts:
+            colors = [0 if idx.points >> v & 1 else 1 for v in range(n)]
+        else:
+            colors = [0] * n
+        cells = [[v for v in range(n) if colors[v] == c] for c in (0, 1)]
+        cells = [c for c in cells if c]
+        while True:
+            cells = _refine(nbrs, cells)
+            colors = reference_refine(n, adj, colors)
+            classes = [[v for v in range(n) if colors[v] == c] for c in range(len(cells))]
+            assert cells == classes
+            open_cells = [t for t, cell in enumerate(cells) if len(cell) >= 2]
+            if not open_cells:
+                return
+            t = rng.choice(open_cells)
+            v = rng.choice(cells[t])
+            cells = cells[:t] + [[v], [u for u in cells[t] if u != v]] + cells[t + 1 :]
+            colors = reference_individualize(colors, v)
+
+    def test_random_simple_graphs(self):
+        rng = random.Random(4321)
+        for _ in range(150):
+            n = rng.randint(0, 12)
+            p = rng.choice([0.15, 0.35, 0.6, 0.85])
+            labels = [f"a{i}" for i in range(n)]
+            edges = [
+                (labels[i], labels[j])
+                for i in range(n)
+                for j in range(i + 1, n)
+                if rng.random() < p
+            ]
+            self.check_chain(SimpleGraph(tuple(labels), tuple(edges)), False, rng)
+
+    def test_random_bipartite_graphs_both_modes(self):
+        rng = random.Random(8765)
+        for _ in range(150):
+            g = random_bipartite(rng, max_part=6)
+            self.check_chain(g, False, rng)
+            self.check_chain(g, True, rng)
+
+    def test_regular_and_tree_graphs(self):
+        from circgraph.census import free_trees
+
+        rng = random.Random(99)
+        for g in [as_simple(triangular(6)), shrikhande(), paley(13)] + list(free_trees(8)):
+            self.check_chain(g, False, rng)
+
+
+class TestNetworkxOracle:
+    """Pairs that colour refinement alone cannot separate, decided against
+    networkx's VF2 as an independent oracle."""
+
+    @staticmethod
+    def pairs():
+        rng = random.Random(13)
+        return {
+            "shrikhande-rook": (shrikhande(), rook4()),
+            "paley13-relabelings": (relabeled(paley(13), rng)[0], relabeled(paley(13), rng)[0]),
+            "cfi-k4-twist": (cfi_k4(False), cfi_k4(True)),
+        }
+
+    @pytest.mark.parametrize("name", ["shrikhande-rook", "paley13-relabelings", "cfi-k4-twist"])
+    def test_agrees_with_networkx(self, name):
+        nx = pytest.importorskip("networkx")
+        g1, g2 = self.pairs()[name]
+        union = disjoint_union(g1, g2)
+        first = {union.index.position[v] for v in g1.vertex_labels}
+        stable = _refine(neighbor_tuples(union), [list(range(len(union.index.labels)))])
+        assert all(2 * len(first.intersection(cell)) == len(cell) for cell in stable)
+
+        def to_nx(g):
+            h = nx.Graph()
+            h.add_nodes_from(g.vertex_labels)
+            h.add_edges_from(g.edges)
+            return h
+
+        expected = nx.is_isomorphic(to_nx(g1), to_nx(g2))
+        assert expected == (name == "paley13-relabelings")
+        assert are_isomorphic(g1, g2).isomorphic == expected

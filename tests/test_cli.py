@@ -247,6 +247,12 @@ class TestPinnedOutput:
         "build triangular 7 | verify -": (
             "3724cfdea251ab9d01722e29a6105bd6663d53287c8d6007e9947c405f61ad2f"
         ),
+        "enum trees --max 10": (
+            "6c3f216b8329f591d7bc27e13aa22d210c707bec20750558f350fea254b6d582"
+        ),
+        "iso --respect-parts triangular(9)": (
+            "5a24739bb7c234590845703f2fedcf7f12411b0659c323c4fec1e52fdae35e27"
+        ),
     }
 
     def assert_pinned(self, name, argv, capsys, code=0):
@@ -270,6 +276,16 @@ class TestPinnedOutput:
         argv = ["iso", "--respect-parts", str(paths[0]), str(paths[1])]
         self.assert_pinned("iso --respect-parts triangular(6)", argv, capsys)
 
+    def test_part_respecting_iso_triangular9(self, tmp_path, capsys):
+        rng = random.Random(2025)
+        paths = []
+        for name in ("a", "b"):
+            g, _ = relabeled(triangular(9), rng)
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(dumps_obj(payload_to_obj(g)))
+        argv = ["iso", "--respect-parts", str(paths[0]), str(paths[1])]
+        self.assert_pinned("iso --respect-parts triangular(9)", argv, capsys)
+
     def test_neighborhood_doubling_iso(self, tmp_path, capsys):
         g = triangular(5)
         nbhd = tmp_path / "nbhd.json"
@@ -278,6 +294,9 @@ class TestPinnedOutput:
         double.write_text(dumps_obj(payload_to_obj(disjoint_union(g, g))))
         argv = ["iso", str(nbhd), str(double)]
         self.assert_pinned("iso neighborhood(triangular(5)) doubling", argv, capsys)
+
+    def test_tree_census_max10(self, capsys):
+        self.assert_pinned("enum trees --max 10", ["enum", "trees", "--max", "10"], capsys)
 
     def test_circular_census_u6(self, capsys):
         self.assert_pinned("enum circular --u 6", ["enum", "circular", "--u", "6"], capsys)
