@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .canonical import CanonicalForm, IsoCertificate, are_isomorphic, canonical_form
 from .census import (
     CensusEntry,
-    brute_force_classify,
     enumerate_circular,
     enumerate_circular_trees,
     free_trees,
@@ -82,7 +81,6 @@ __all__ = [
     "are_isomorphic",
     "as_simple",
     "block_label",
-    "brute_force_classify",
     "canonical_form",
     "check_linear_axioms",
     "classify",

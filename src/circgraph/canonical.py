@@ -2,16 +2,23 @@
 
 The labeling follows refinement-with-individualization over one ordered
 partition: a list of cells, each listing its positions in ascending order.
-Refinement splits every cell of two or more members by its members' sorted
-neighbor-cell indices until no cell splits; the pieces take their cell's
-slot in key order, and singletons are never re-sorted. The smallest cell of
-two or more members (lowest index on ties) is the branch target; each branch
-moves one member into a singleton just before the rest of its cell and
-refines again. A discrete partition, read cell by cell, is a candidate vertex
-order, and the least upper-triangular adjacency bit string wins. Leaves hold
-it as row integers (row i: positions i+1..n-1, i+1 most significant, so
-fixed-width rows compare as the string does); only the winner is spelled out
-as `bits`.
+Refinement runs in rounds; each round splits cells by their members' sorted
+neighbor-cell indices, all taken at the start of the round, and the pieces
+take their cell's slot in key order. Only dirty cells are re-keyed: in the
+first refinement every cell of two or more members, afterwards only those
+holding a neighbor of a vertex that the last round split off into a piece
+other than the largest of its cell (after individualizing v: a neighbor of
+v). The members of any other cell still agree on their neighbor count in
+every cell, the largest piece's count following from its old cell's, and
+as cell indices only shift monotonically their keys stay equal. The rounds
+stop when no dirty cell splits. The smallest
+cell of two or more members (lowest index on ties) is the branch target;
+each branch moves one member into a singleton just before the rest of its
+cell and refines again. A discrete partition, read cell by cell, is a
+candidate vertex order, and the least upper-triangular adjacency bit string
+wins. Leaves hold it as row integers (row i: positions i+1..n-1, i+1 most
+significant, so fixed-width rows compare as the string does); only the
+winner is spelled out as `bits`.
 
 Cells never move past each other, so in part-respecting mode, which starts
 from the cells (points, circles), all point vertices come before all circle
@@ -21,15 +28,19 @@ part-isomorphic exactly when (n, u_size, bits) coincide.
 Branches are pruned with automorphisms discovered from equal-value leaves:
 a candidate in the same orbit as an already explored sibling, under the
 subgroup fixing the individualized prefix pointwise, contributes no new
-leaf values. Each search node keeps one union-find of those orbits and feeds
-it, before each candidate, only the generators found since its last update.
-The pruning never changes the winning leaf.
+leaf values. Such an automorphism maps the node's partition, and so its
+target cell, onto itself, so each search node keeps one union-find over the
+target cell only and feeds it, before each candidate, only the generators
+found since its last update. The pruning never changes the winning leaf.
+
+`are_isomorphic` compares sorted degree sequences (per part when
+part-respecting) before any labeling, and replays every mapping it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .graphs import BipartiteGraph, Graph, GraphError, bits
 
@@ -65,25 +76,46 @@ class IsoCertificate:
     mapping: Optional[Mapping[str, str]] = None
 
 
-def _refine(nbrs: tuple[tuple[int, ...], ...], cells: list[list[int]]) -> list[list[int]]:
+def _refine(
+    nbrs: tuple[tuple[int, ...], ...],
+    cells: list[list[int]],
+    moved: Optional[Sequence[int]] = None,
+) -> list[list[int]]:
     # Stable point: no cell splits by its members' neighbor-cell indices.
     # Pieces take their cell's slot in key order; singletons never split.
+    # `moved` were split off their cells of a stable partition, and only
+    # cells holding a neighbor of one of them can split; None re-keys all.
     where = [0] * len(nbrs)
     while True:
         for i, cell in enumerate(cells):
             for v in cell:
                 where[v] = i
+        if moved is None:
+            dirty: Iterable[int] = range(len(cells))
+        else:
+            dirty = sorted({where[u] for x in moved for u in nbrs[x]})
         out: list[list[int]] = []
-        for cell in cells:
+        kept = 0
+        moved = []
+        for i in dirty:
+            cell = cells[i]
             if len(cell) == 1:
-                out.append(cell)
                 continue
             pieces: dict[tuple[int, ...], list[int]] = {}
             for v in cell:
                 pieces.setdefault(tuple(sorted([where[u] for u in nbrs[v]])), []).append(v)
-            out.extend(pieces[k] for k in sorted(pieces))
-        if len(out) == len(cells):
+            if len(pieces) == 1:
+                continue
+            split = [pieces[k] for k in sorted(pieces)]
+            out += cells[kept:i]
+            out += split
+            kept = i + 1
+            # Counts into the largest piece follow from those into the rest.
+            largest = max(split, key=len)
+            moved += [v for piece in split if piece is not largest for v in piece]
+        if not moved:
             return cells
+        out += cells[kept:]
         cells = out
 
 
@@ -97,12 +129,15 @@ class _SearchState:
 
 
 def _in_explored_orbit(
-    parent: list[int],
+    parent: dict[int, int],
     fresh: list[tuple[int, ...]],
     prefix: tuple[int, ...],
+    target: list[int],
     explored: list[int],
     v: int,
 ) -> bool:
+    # A generator fixing the prefix maps the node's partition, and so the
+    # target cell, onto itself: the target's orbits never leave it.
     def find(x: int) -> int:
         root = x
         while parent[root] != root:
@@ -113,8 +148,8 @@ def _in_explored_orbit(
 
     for p in fresh:
         if all(p[x] == x for x in prefix):
-            for a, b in enumerate(p):
-                ra, rb = find(a), find(b)
+            for a in target:
+                ra, rb = find(a), find(p[a])
                 if ra != rb:
                     parent[ra] = rb
     rv = find(v)
@@ -156,17 +191,27 @@ def _search(
         return
     target = cells[t]
     explored: list[int] = []
-    parent, absorbed = [], 0
+    parent = {a: a for a in target}
+    absorbed = 0
     for v in target:
         if explored:
-            parent = parent or list(range(n))
             fresh, absorbed = state.gens[absorbed:], len(state.gens)
-            if _in_explored_orbit(parent, fresh, prefix, explored, v):
+            if _in_explored_orbit(parent, fresh, prefix, target, explored, v):
                 continue
         rest = [u for u in target if u != v]
-        refined = _refine(nbrs, cells[:t] + [[v], rest] + cells[t + 1 :])
+        refined = _refine(nbrs, cells[:t] + [[v], rest] + cells[t + 1 :], (v,))
         _search(nbrs, refined, prefix + (v,), state)
         explored.append(v)
+
+
+def _initial_cells(g: Graph, respect_parts: bool) -> list[list[int]]:
+    """[points, circles] in part-respecting mode, else one cell of all positions."""
+    if respect_parts and not isinstance(g, BipartiteGraph):
+        raise GraphError("part-respecting canonical form requires a bipartite graph")
+    idx = g.index
+    if respect_parts:
+        return [list(bits(idx.points)), list(bits(idx.circles))]
+    return [list(range(len(idx.labels)))]
 
 
 def canonical_form(g: Graph, respect_parts: bool = False) -> CanonicalForm:
@@ -176,18 +221,12 @@ def canonical_form(g: Graph, respect_parts: bool = False) -> CanonicalForm:
     part-preserving relabelings are factored out; point vertices occupy the
     leading canonical positions.
     """
-    if respect_parts and not isinstance(g, BipartiteGraph):
-        raise GraphError("part-respecting canonical form requires a bipartite graph")
+    cells = _initial_cells(g, respect_parts)
     idx = g.index
     n = len(idx.labels)
     # Tuples: reading bits(mask) inside the refinement loop was slower on dense graphs.
     nbrs = tuple(tuple(bits(m)) for m in idx.masks)
-    if respect_parts:
-        cells = [list(bits(idx.points)), list(bits(idx.circles))]
-        u_size: int | None = len(g.part_u)
-    else:
-        cells = [list(range(n))]
-        u_size = None
+    u_size = len(cells[0]) if respect_parts else None
     state = _SearchState()
     _search(nbrs, _refine(nbrs, [c for c in cells if c]), (), state)
     relabeling = {idx.labels[v]: i for i, v in enumerate(state.best_pos2v)}
@@ -213,7 +252,20 @@ def _verify_mapping(
 
 
 def are_isomorphic(g1: Graph, g2: Graph, respect_parts: bool = False) -> IsoCertificate:
-    """Decide isomorphism by canonical form and return a replayable witness."""
+    """Decide isomorphism by canonical form and return a replayable witness.
+
+    Graphs whose sorted degree sequences differ (per part in part-respecting
+    mode), and so also their vertex or edge counts, are rejected before any
+    canonical labeling.
+    """
+
+    def degrees(g: Graph) -> list[list[int]]:
+        masks = g.index.masks
+        cells = _initial_cells(g, respect_parts)
+        return [sorted(masks[v].bit_count() for v in cell) for cell in cells]
+
+    if degrees(g1) != degrees(g2):
+        return IsoCertificate(False, None)
     f1 = canonical_form(g1, respect_parts)
     f2 = canonical_form(g2, respect_parts)
     if f1.key != f2.key:

@@ -6,9 +6,6 @@ uncovered triple yields, one at a time, each family whose masks partition
 all triples. Both censuses deduplicate up to part-respecting isomorphism and
 describe only the class winners; `classify` re-validates each winner, which
 catches any non-circular family, as it would form a class of its own.
-
-`brute_force_classify` re-implements recognition with raw edge-list scans
-and exists purely as a differential oracle for `classify`.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from itertools import combinations
 from typing import Any, Iterable, Iterator
 
 from .canonical import CanonicalForm, canonical_form
-from .circular import CircularClassification, Verdict, Violation, ViolationKind, classify
+from .circular import Verdict, classify
 from .constructions import Design, from_design
 from .graphs import BipartiteGraph, Distance, GraphError, SimpleGraph, bfs_layers, metric_summary
 
@@ -161,66 +158,3 @@ def _tree_bipartition(tree: SimpleGraph) -> tuple[tuple[str, ...], tuple[str, ..
     idx = tree.index
     layers = bfs_layers(idx.masks, 0)
     return idx.labels_of(sum(layers[0::2])), idx.labels_of(sum(layers[1::2]))
-
-
-def brute_force_classify(g: BipartiteGraph) -> CircularClassification:
-    """Recognition by the most naive loops possible; oracle for `classify`.
-
-    Degrees and common-neighbor counts are recomputed by scanning the raw
-    edge list, sharing no graph machinery with the main implementation.
-    """
-    upart = sorted(g.part_u)
-    wpart = sorted(g.part_w)
-    edges = list(g.edges)
-    vacuous = len(upart) < 3
-    note = (
-        "part U has a single point: nominally the trivial case, "
-        "but no circle can reach degree 3; classified not circular"
-        if len(upart) == 1 and wpart
-        else None
-    )
-    for w in wpart:
-        d = 0
-        for _, b in edges:
-            if b == w:
-                d += 1
-        if d < 3:
-            return CircularClassification(
-                Verdict.NOT_CIRCULAR,
-                Violation(ViolationKind.CIRCLE_DEGREE_TOO_SMALL, (w,), d),
-                vacuous,
-                note,
-            )
-    for x, y, z in combinations(upart, 3):
-        c = 0
-        for w in wpart:
-            has_x = has_y = has_z = False
-            for a, b in edges:
-                if b == w:
-                    if a == x:
-                        has_x = True
-                    elif a == y:
-                        has_y = True
-                    elif a == z:
-                        has_z = True
-            if has_x and has_y and has_z:
-                c += 1
-        if c != 1:
-            kind = (
-                ViolationKind.TRIPLE_UNCOVERED
-                if c == 0
-                else ViolationKind.TRIPLE_OVERCOVERED
-            )
-            return CircularClassification(
-                Verdict.NOT_CIRCULAR, Violation(kind, (x, y, z), c), vacuous, note
-            )
-    if len(wpart) >= 2:
-        return CircularClassification(Verdict.NON_TRIVIAL_CIRCULAR, None, vacuous, note)
-    if len(wpart) == 1 and len(upart) >= 3:
-        return CircularClassification(Verdict.TRIVIAL_CIRCULAR, None, vacuous, note)
-    return CircularClassification(
-        Verdict.NOT_CIRCULAR,
-        Violation(ViolationKind.PART_ERROR, ()),
-        vacuous,
-        "no circles and at most two points: nothing models a circular space",
-    )

@@ -9,6 +9,7 @@ from collections import deque
 from itertools import combinations, permutations
 import random
 
+from circgraph.circular import CircularClassification, Verdict, Violation, ViolationKind
 from circgraph.graphs import UNREACHABLE, BipartiteGraph, SimpleGraph
 
 
@@ -87,6 +88,69 @@ def oracle_part_isomorphic(g1, g2):
             if {(mapping[a], mapping[b]) for a, b in g1.edges} == e2:
                 return True
     return False
+
+
+def brute_force_classify(g: BipartiteGraph) -> CircularClassification:
+    """Recognition by the most naive loops possible; oracle for `classify`.
+
+    Degrees and common-neighbor counts are recomputed by scanning the raw
+    edge list, sharing no graph machinery with the main implementation.
+    """
+    upart = sorted(g.part_u)
+    wpart = sorted(g.part_w)
+    edges = list(g.edges)
+    vacuous = len(upart) < 3
+    note = (
+        "part U has a single point: nominally the trivial case, "
+        "but no circle can reach degree 3; classified not circular"
+        if len(upart) == 1 and wpart
+        else None
+    )
+    for w in wpart:
+        d = 0
+        for _, b in edges:
+            if b == w:
+                d += 1
+        if d < 3:
+            return CircularClassification(
+                Verdict.NOT_CIRCULAR,
+                Violation(ViolationKind.CIRCLE_DEGREE_TOO_SMALL, (w,), d),
+                vacuous,
+                note,
+            )
+    for x, y, z in combinations(upart, 3):
+        c = 0
+        for w in wpart:
+            has_x = has_y = has_z = False
+            for a, b in edges:
+                if b == w:
+                    if a == x:
+                        has_x = True
+                    elif a == y:
+                        has_y = True
+                    elif a == z:
+                        has_z = True
+            if has_x and has_y and has_z:
+                c += 1
+        if c != 1:
+            kind = (
+                ViolationKind.TRIPLE_UNCOVERED
+                if c == 0
+                else ViolationKind.TRIPLE_OVERCOVERED
+            )
+            return CircularClassification(
+                Verdict.NOT_CIRCULAR, Violation(kind, (x, y, z), c), vacuous, note
+            )
+    if len(wpart) >= 2:
+        return CircularClassification(Verdict.NON_TRIVIAL_CIRCULAR, None, vacuous, note)
+    if len(wpart) == 1 and len(upart) >= 3:
+        return CircularClassification(Verdict.TRIVIAL_CIRCULAR, None, vacuous, note)
+    return CircularClassification(
+        Verdict.NOT_CIRCULAR,
+        Violation(ViolationKind.PART_ERROR, ()),
+        vacuous,
+        "no circles and at most two points: nothing models a circular space",
+    )
 
 
 def simple_cycles_up_to(g, max_len):
@@ -190,6 +254,26 @@ def reference_individualize(colors, v):
         else:
             out.append(cu + 1)
     return out
+
+
+def reference_in_explored_orbit(gens, prefix, explored, v):
+    """Orbit pruning over all n vertices, from scratch: union a with p[a]
+    for every a and every generator p fixing the prefix pointwise, then ask
+    whether v shares an orbit with an explored candidate."""
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for p in gens:
+        if all(p[x] == x for x in prefix):
+            for a, b in enumerate(p):
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[ra] = rb
+    return find(v) in {find(u) for u in explored}
 
 
 def _simple(n, adjacent, prefix):

@@ -9,7 +9,6 @@ import time
 
 from circgraph.canonical import are_isomorphic, canonical_form
 from circgraph.census import (
-    brute_force_classify,
     enumerate_circular,
     enumerate_circular_trees,
     free_trees,
@@ -24,7 +23,7 @@ from circgraph.constructions import derive_linear, neighborhood_graph, star, tri
 from circgraph.fileio import dumps_obj, parse_payload, payload_to_obj
 from circgraph.graphs import SimpleGraph, as_simple, disjoint_union, metric_summary
 
-from helpers import random_bipartite, relabeled
+from helpers import brute_force_classify, random_bipartite, relabeled
 
 
 def _finish(num, name, failures, started, budget):

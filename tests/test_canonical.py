@@ -23,6 +23,7 @@ from helpers import (
     oracle_part_isomorphic,
     paley,
     random_bipartite,
+    reference_in_explored_orbit,
     reference_individualize,
     reference_refine,
     relabeled,
@@ -327,3 +328,163 @@ class TestNetworkxOracle:
         expected = nx.is_isomorphic(to_nx(g1), to_nx(g2))
         assert expected == (name == "paley13-relabelings")
         assert are_isomorphic(g1, g2).isomorphic == expected
+
+
+class TestCheapRejection:
+    """`are_isomorphic` rejects on degree sequences before canonical labeling."""
+
+    @staticmethod
+    def count_canonical_calls(monkeypatch):
+        import circgraph.canonical as canonical_module
+
+        calls = []
+        real = canonical_module.canonical_form
+        monkeypatch.setattr(
+            canonical_module, "canonical_form", lambda *args: calls.append(args) or real(*args)
+        )
+        return calls
+
+    def test_different_sizes_skip_canonical_labeling(self, monkeypatch):
+        calls = self.count_canonical_calls(monkeypatch)
+        cert = are_isomorphic(as_simple(triangular(9)), as_simple(triangular(10)))
+        assert not cert.isomorphic and cert.mapping is None
+        assert len(calls) == 0
+
+    def test_part_degree_sequences_are_compared_per_part(self, monkeypatch):
+        # Same simple graph (a path on three vertices), opposite point/circle roles.
+        g1 = BipartiteGraph(("a", "c"), ("b",), (("a", "b"), ("c", "b")))
+        g2 = BipartiteGraph(("b",), ("a", "c"), (("b", "a"), ("b", "c")))
+        calls = self.count_canonical_calls(monkeypatch)
+        assert not are_isomorphic(g1, g2, respect_parts=True).isomorphic
+        assert len(calls) == 0
+        assert are_isomorphic(g1, g2).isomorphic
+        assert len(calls) == 2
+
+    def test_equal_degree_sequences_still_canonicalize(self, monkeypatch):
+        calls = self.count_canonical_calls(monkeypatch)
+        assert not are_isomorphic(shrikhande(), rook4()).isomorphic
+        assert len(calls) == 2
+
+    def test_bipartite_requirement_is_checked_first(self):
+        with pytest.raises(GraphError, match="bipartite"):
+            are_isomorphic(SimpleGraph(("a",), ()), SimpleGraph(("a", "b"), ()), respect_parts=True)
+
+
+class TestSearchNodeCounts:
+    """The number of search nodes, recorded before the dirty-cell refinement
+    and the target-cell orbits; both leave every pruning decision as it was."""
+
+    @pytest.mark.parametrize(
+        "build, respect_parts, nodes",
+        [
+            (lambda: triangular(8), True, 92),
+            (lambda: triangular(9), True, 129),
+            (lambda: SimpleGraph(tuple(f"v{i}" for i in range(13)), ()), False, 377),
+        ],
+        ids=["triangular8-parts", "triangular9-parts", "isolated13"],
+    )
+    def test_node_count(self, monkeypatch, build, respect_parts, nodes):
+        import circgraph.canonical as canonical_module
+
+        real = canonical_module._search
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(canonical_module, "_search", counted)
+        canonical_form(build(), respect_parts)
+        assert len(calls) == nodes
+
+
+def random_simple_graph(rng, max_n):
+    n = rng.randint(0, max_n)
+    p = rng.choice([0.15, 0.35, 0.6, 0.85])
+    labels = [f"a{i}" for i in range(n)]
+    edges = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return SimpleGraph(tuple(labels), tuple(edges))
+
+
+class TestDirtyCellRefinement:
+    """After individualizing v in a stable partition, re-keying only the
+    cells that hold a neighbour of v gives the cells of a full refinement."""
+
+    def check_chain(self, g, respect_parts, rng):
+        idx = g.index
+        n = len(idx.labels)
+        nbrs = neighbor_tuples(g)
+        if respect_parts:
+            cells = [[v for v in range(n) if idx.points >> v & 1 == side] for side in (1, 0)]
+        else:
+            cells = [list(range(n))]
+        cells = _refine(nbrs, [c for c in cells if c])
+        while True:
+            open_cells = [t for t, cell in enumerate(cells) if len(cell) >= 2]
+            if not open_cells:
+                return
+            t = rng.choice(open_cells)
+            v = rng.choice(cells[t])
+            cells = cells[:t] + [[v], [u for u in cells[t] if u != v]] + cells[t + 1 :]
+            full = _refine(nbrs, cells)
+            cells = _refine(nbrs, cells, (v,))
+            assert cells == full
+
+    def test_random_simple_graphs(self):
+        rng = random.Random(4321)
+        for _ in range(150):
+            self.check_chain(random_simple_graph(rng, 12), False, rng)
+
+    def test_random_bipartite_graphs_both_modes(self):
+        rng = random.Random(8765)
+        for _ in range(150):
+            g = random_bipartite(rng, max_part=6)
+            self.check_chain(g, False, rng)
+            self.check_chain(g, True, rng)
+
+    def test_regular_tree_and_cfi_graphs(self):
+        from circgraph.census import free_trees
+
+        rng = random.Random(99)
+        graphs = [as_simple(triangular(6)), shrikhande(), paley(13), cfi_k4(False), cfi_k4(True)]
+        for g in graphs + list(free_trees(8)):
+            for _ in range(3):
+                self.check_chain(g, False, rng)
+
+
+class TestTargetCellOrbits:
+    """`_in_explored_orbit` unions only over the target cell; its verdicts
+    equal those of a reference that unions over all n vertices."""
+
+    def test_agrees_with_all_vertex_reference(self, monkeypatch):
+        import circgraph.canonical as canonical_module
+        from circgraph import census
+        from circgraph.constructions import from_design
+
+        real = canonical_module._in_explored_orbit
+        # id(parent) -> (parent, the generators fed to it so far); holding
+        # each union-find keeps its id from being reused by a later node.
+        seen = {}
+        verdicts = []
+
+        def compared(parent, fresh, prefix, target, explored, v):
+            _, gens = seen.setdefault(id(parent), (parent, []))
+            gens.extend(fresh)
+            verdict = real(parent, fresh, prefix, target, explored, v)
+            assert verdict == reference_in_explored_orbit(gens, prefix, explored, v)
+            verdicts.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(canonical_module, "_in_explored_orbit", compared)
+        for u in range(3, 7):
+            points = tuple(str(i) for i in range(1, u + 1))
+            for design in census._designs(points):
+                g = from_design(design)
+                canonical_form(g, respect_parts=True)
+                canonical_form(g)
+        rng = random.Random(2468)
+        for _ in range(150):
+            g = random_bipartite(rng, max_part=6)
+            canonical_form(g, respect_parts=True)
+            canonical_form(g)
+        assert True in verdicts and False in verdicts

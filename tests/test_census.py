@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from circgraph import census
 from circgraph.canonical import are_isomorphic
 from circgraph.census import (
-    brute_force_classify,
     enumerate_circular,
     enumerate_circular_trees,
     free_trees,
@@ -17,7 +16,7 @@ from circgraph.circular import CheckStatus, Verdict, classify, run_all_checks
 from circgraph.constructions import neighborhood_graph, star, triangular
 from circgraph.graphs import GraphError, disjoint_union, metric_summary
 
-from helpers import dumb_circular_families, random_bipartite
+from helpers import brute_force_classify, dumb_circular_families, random_bipartite
 from strategies import bipartite_graphs
 
 # Known free-tree counts, the independent anchor for the generator.
