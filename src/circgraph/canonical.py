@@ -25,13 +25,23 @@ from the cells (points, circles), all point vertices come before all circle
 vertices in the canonical order; two bipartite graphs are then
 part-isomorphic exactly when (n, u_size, bits) coincide.
 
-Branches are pruned with automorphisms discovered from equal-value leaves:
-a candidate in the same orbit as an already explored sibling, under the
-subgroup fixing the individualized prefix pointwise, contributes no new
-leaf values. Such an automorphism maps the node's partition, and so its
-target cell, onto itself, so each search node keeps one union-find over the
-target cell only and feeds it, before each candidate, only the generators
-found since its last update. The pruning never changes the winning leaf.
+Branches are pruned with automorphisms: a candidate in the same orbit as
+an already explored sibling, under the subgroup fixing the individualized
+prefix pointwise, contributes no new leaf values. Such an automorphism maps
+the node's partition, and so its target cell, onto itself. Two kinds are
+used. Twins, positions with the same open or the same closed neighbourhood,
+are swapped by an automorphism fixing every other position, so a candidate
+that is a twin of an explored sibling is skipped at once; each node keeps
+the twin keys of its explored candidates. Other automorphisms are
+discovered from equal-value leaves (at most 64 kept); each node keeps one
+union-find over its target cell and feeds it, before each candidate, only
+the generators found since its last update. Neither pruning changes the
+winning leaf, as the search keeps the first least leaf in depth-first order.
+
+The search runs depth first on an explicit stack: each node on it is
+suspended between two of its children, in target-cell order, and resumes
+once the last child's subtree is complete. The depth, up to one node per
+vertex on edgeless graphs, is bounded by memory, not by the recursion limit.
 
 `are_isomorphic` compares sorted degree sequences (per part when
 part-respecting) before any labeling, and replays every mapping it returns.
@@ -40,7 +50,7 @@ part-respecting) before any labeling, and replays every mapping it returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .graphs import BipartiteGraph, Graph, GraphError, bits
 
@@ -128,6 +138,16 @@ class _SearchState:
         self.gens: list[tuple[int, ...]] = []
 
 
+def _twin_keys(masks: Sequence[int]) -> list[tuple[int, int]]:
+    """Open and closed neighbourhood mask of each position.
+
+    Two positions are twins when one of the two keys coincides. An open key
+    never equals another position's closed key: that would put each of the
+    two in the other's neighbourhood and so one in its own.
+    """
+    return [(m, m | 1 << v) for v, m in enumerate(masks)]
+
+
 def _in_explored_orbit(
     parent: dict[int, int],
     fresh: list[tuple[int, ...]],
@@ -156,52 +176,87 @@ def _in_explored_orbit(
     return any(find(u) == rv for u in explored)
 
 
-def _search(
+def _leaf(nbrs: tuple[tuple[int, ...], ...], cells: list[list[int]], state: _SearchState) -> None:
+    n = len(nbrs)
+    pos2v = [cell[0] for cell in cells]
+    pos = [0] * n
+    for i, v in enumerate(pos2v):
+        pos[v] = i
+    # Position j of the leaf order is bit top-j; row i keeps the bits after i.
+    top = n - 1
+    rows = tuple(
+        sum(1 << (top - pos[u]) for u in nbrs[v]) & ((1 << (top - i)) - 1)
+        for i, v in enumerate(pos2v[:-1])
+    )
+    if state.best_rows is None or rows < state.best_rows:
+        state.best_rows = rows
+        state.best_pos2v = pos2v
+    elif rows == state.best_rows and pos2v != state.best_pos2v:
+        perm = [0] * n
+        for i in range(n):
+            perm[state.best_pos2v[i]] = pos2v[i]
+        p = tuple(perm)
+        if len(state.gens) < 64 and p not in state.gens:
+            state.gens.append(p)
+
+
+def _children(
     nbrs: tuple[tuple[int, ...], ...],
+    twins: list[tuple[int, int]],
     cells: list[list[int]],
+    t: int,
     prefix: tuple[int, ...],
     state: _SearchState,
-) -> None:
-    n = len(nbrs)
-    t = -1
-    for i, cell in enumerate(cells):
-        if len(cell) >= 2 and (t < 0 or len(cell) < len(cells[t])):
-            t = i
-    if t < 0:
-        pos2v = [cell[0] for cell in cells]
-        pos = [0] * n
-        for i, v in enumerate(pos2v):
-            pos[v] = i
-        # Position j of the leaf order is bit top-j; row i keeps the bits after i.
-        top = n - 1
-        rows = tuple(
-            sum(1 << (top - pos[u]) for u in nbrs[v]) & ((1 << (top - i)) - 1)
-            for i, v in enumerate(pos2v[:-1])
-        )
-        if state.best_rows is None or rows < state.best_rows:
-            state.best_rows = rows
-            state.best_pos2v = pos2v
-        elif rows == state.best_rows and pos2v != state.best_pos2v:
-            perm = [0] * n
-            for i in range(n):
-                perm[state.best_pos2v[i]] = pos2v[i]
-            p = tuple(perm)
-            if len(state.gens) < 64 and p not in state.gens:
-                state.gens.append(p)
-        return
+) -> Iterator[tuple[list[list[int]], tuple[int, ...]]]:
+    # One search node, suspended between its children: it yields each
+    # unpruned child, and that child's subtree is complete when it resumes.
     target = cells[t]
     explored: list[int] = []
+    seen: set[int] = set()
     parent = {a: a for a in target}
     absorbed = 0
     for v in target:
+        open_key, closed_key = twins[v]
+        if open_key in seen or closed_key in seen:
+            continue
         if explored:
             fresh, absorbed = state.gens[absorbed:], len(state.gens)
             if _in_explored_orbit(parent, fresh, prefix, target, explored, v):
                 continue
         rest = [u for u in target if u != v]
-        refined = _refine(nbrs, cells[:t] + [[v], rest] + cells[t + 1 :], (v,))
-        _search(nbrs, refined, prefix + (v,), state)
+        yield _refine(nbrs, cells[:t] + [[v], rest] + cells[t + 1 :], (v,)), prefix + (v,)
         explored.append(v)
+        seen.add(open_key)
+        seen.add(closed_key)
+
+
+def _search(
+    nbrs: tuple[tuple[int, ...], ...],
+    twins: list[tuple[int, int]],
+    cells: list[list[int]],
+    state: _SearchState,
+) -> None:
+    # Depth first on an explicit stack of suspended nodes, so the depth is
+    # bounded by memory rather than by the interpreter's recursion limit.
+    stack: list[Iterator[tuple[list[list[int]], tuple[int, ...]]]] = []
+    prefix: tuple[int, ...] = ()
+    while True:
+        t = -1
+        for i, cell in enumerate(cells):
+            if len(cell) >= 2 and (t < 0 or len(cell) < len(cells[t])):
+                t = i
+        if t < 0:
+            _leaf(nbrs, cells, state)
+        else:
+            stack.append(_children(nbrs, twins, cells, t, prefix, state))
+        while stack:
+            child = next(stack[-1], None)
+            if child is not None:
+                cells, prefix = child
+                break
+            stack.pop()
+        else:
+            return
 
 
 def _initial_cells(g: Graph, respect_parts: bool) -> list[list[int]]:
@@ -228,7 +283,7 @@ def canonical_form(g: Graph, respect_parts: bool = False) -> CanonicalForm:
     nbrs = tuple(tuple(bits(m)) for m in idx.masks)
     u_size = len(cells[0]) if respect_parts else None
     state = _SearchState()
-    _search(nbrs, _refine(nbrs, [c for c in cells if c]), (), state)
+    _search(nbrs, _twin_keys(idx.masks), _refine(nbrs, [c for c in cells if c]), state)
     relabeling = {idx.labels[v]: i for i, v in enumerate(state.best_pos2v)}
     bit_string = "".join(format(r, f"0{n - 1 - i}b") for i, r in enumerate(state.best_rows))
     return CanonicalForm(n, u_size, bit_string, relabeling)

@@ -108,6 +108,12 @@ class TestCanonicalForm:
         canonical_form(triangular(7))
         assert time.perf_counter() - started < 5.0
 
+    def test_isolated40_returns(self):
+        g = SimpleGraph(tuple(f"v{i}" for i in range(40)), ())
+        form = canonical_form(g)
+        assert form.key == (40, None, "0" * 780)
+        assert sorted(form.relabeling.values()) == list(range(40))
+
     def test_triangular8_relabelings(self):
         g = as_simple(triangular(8))
         base = canonical_form(g)
@@ -171,13 +177,21 @@ class TestAreIsomorphic:
 
 class TestPruningNeutrality:
     def test_orbit_pruning_never_changes_the_winner(self, monkeypatch):
-        # Ground truth: exhaustive branch exploration with pruning disabled.
+        # Ground truth: exhaustive branch exploration with both prunings
+        # disabled, the twin keys made distinct per vertex.
         import circgraph.canonical as canonical_module
         from circgraph.census import free_trees
 
-        graphs = [as_simple(star(n)) for n in (4, 6)]
+        graphs = [as_simple(star(n)) for n in range(4, 10)]
         graphs += [as_simple(triangular(n)) for n in (4, 5)]
-        graphs += [t for n in (6, 7) for t in free_trees(n)]
+        graphs += [t for n in (6, 7, 8) for t in free_trees(n)]
+        graphs.append(
+            SimpleGraph(
+                ("a0", "a1", "b0", "b1", "b2", "b3", "b4"),
+                tuple((a, b) for a in ("a0", "a1") for b in ("b0", "b1", "b2", "b3", "b4")),
+            )
+        )
+        graphs.append(SimpleGraph(tuple(f"v{i}" for i in range(8)), ()))
         rng = random.Random(31)
         for _ in range(15):
             n = rng.randint(2, 7)
@@ -190,6 +204,9 @@ class TestPruningNeutrality:
             ]
             graphs.append(SimpleGraph(tuple(labels), tuple(edges)))
 
+        def forms():
+            return [(f.key, f.relabeling) for f in map(canonical_form, graphs)]
+
         real = canonical_module._in_explored_orbit
         verdicts = []
 
@@ -198,13 +215,16 @@ class TestPruningNeutrality:
             return verdicts[-1]
 
         monkeypatch.setattr(canonical_module, "_in_explored_orbit", recorded)
-        pruned = [canonical_form(g).key for g in graphs]
+        pruned = forms()
         assert True in verdicts  # the corpus does prune some branch
         calls = []
         monkeypatch.setattr(
             canonical_module, "_in_explored_orbit", lambda *args: calls.append(args) or False
         )
-        exhaustive = [canonical_form(g).key for g in graphs]
+        monkeypatch.setattr(
+            canonical_module, "_twin_keys", lambda masks: [(v, v) for v in range(len(masks))]
+        )
+        exhaustive = forms()
         assert calls
         assert pruned == exhaustive
 
@@ -329,6 +349,51 @@ class TestNetworkxOracle:
         assert expected == (name == "paley13-relabelings")
         assert are_isomorphic(g1, g2).isomorphic == expected
 
+    @staticmethod
+    def twin_heavy_pairs():
+        rng = random.Random(21)
+        parts = [[f"{side}{i}" for i in range(size)] for side, size in zip("abc", (2, 3, 4))]
+        multipartite = SimpleGraph(
+            tuple(v for part in parts for v in part),
+            tuple((x, y) for i, p in enumerate(parts) for q in parts[i + 1 :] for x in p for y in q),
+        )
+        path = [f"s{i}" for i in range(8)]
+        # Degrees 4, 2 x5, 1 x4 in both: the caterpillar hangs two twin
+        # leaves on its spine, the spider has legs of lengths 3, 2, 2, 2.
+        caterpillar = SimpleGraph(
+            tuple(path) + ("p0", "p1"),
+            tuple(zip(path, path[1:])) + (("s3", "p0"), ("s3", "p1")),
+        )
+        legs = [["c"] + [f"l{k}{j}" for j in range(length)] for k, length in enumerate((3, 2, 2, 2))]
+        spider = SimpleGraph(
+            tuple(sorted({v for leg in legs for v in leg})),
+            tuple(e for leg in legs for e in zip(leg, leg[1:])),
+        )
+        double_star = SimpleGraph(
+            ("x", "y") + tuple(f"x{i}" for i in range(4)) + tuple(f"y{i}" for i in range(5)),
+            (("x", "y"),) + tuple(("x", f"x{i}") for i in range(4)) + tuple(("y", f"y{i}") for i in range(5)),
+        )
+        return {
+            "k234-relabelings": (relabeled(multipartite, rng)[0], relabeled(multipartite, rng)[0], True),
+            "caterpillar-spider": (caterpillar, spider, False),
+            "double-star-relabelings": (relabeled(double_star, rng)[0], relabeled(double_star, rng)[0], True),
+        }
+
+    @pytest.mark.parametrize("name", ["k234-relabelings", "caterpillar-spider", "double-star-relabelings"])
+    def test_twin_heavy_pairs_agree_with_networkx(self, name):
+        nx = pytest.importorskip("networkx")
+        g1, g2, isomorphic = self.twin_heavy_pairs()[name]
+        assert sorted(map(g1.degree, g1.vertices)) == sorted(map(g2.degree, g2.vertices))
+
+        def to_nx(g):
+            h = nx.Graph()
+            h.add_nodes_from(g.vertex_labels)
+            h.add_edges_from(g.edges)
+            return h
+
+        assert nx.is_isomorphic(to_nx(g1), to_nx(g2)) == isomorphic
+        assert are_isomorphic(g1, g2).isomorphic == isomorphic
+
 
 class TestCheapRejection:
     """`are_isomorphic` rejects on degree sequences before canonical labeling."""
@@ -371,29 +436,31 @@ class TestCheapRejection:
 
 
 class TestSearchNodeCounts:
-    """The number of search nodes, recorded before the dirty-cell refinement
-    and the target-cell orbits; both leave every pruning decision as it was."""
+    """The number of search nodes, counted as `_refine` calls: one for the
+    root and one per child. Twin pruning leaves one child per node on
+    edgeless graphs and on the leaves of a star."""
 
     @pytest.mark.parametrize(
         "build, respect_parts, nodes",
         [
             (lambda: triangular(8), True, 92),
             (lambda: triangular(9), True, 129),
-            (lambda: SimpleGraph(tuple(f"v{i}" for i in range(13)), ()), False, 377),
+            (lambda: SimpleGraph(tuple(f"v{i}" for i in range(13)), ()), False, 13),
+            (lambda: star(14), True, 13),
         ],
-        ids=["triangular8-parts", "triangular9-parts", "isolated13"],
+        ids=["triangular8-parts", "triangular9-parts", "isolated13", "star14-parts"],
     )
     def test_node_count(self, monkeypatch, build, respect_parts, nodes):
         import circgraph.canonical as canonical_module
 
-        real = canonical_module._search
+        real = canonical_module._refine
         calls = []
 
         def counted(*args):
             calls.append(None)
             return real(*args)
 
-        monkeypatch.setattr(canonical_module, "_search", counted)
+        monkeypatch.setattr(canonical_module, "_refine", counted)
         canonical_form(build(), respect_parts)
         assert len(calls) == nodes
 

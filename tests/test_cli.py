@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from circgraph import cli
 from circgraph.cli import main
 from circgraph.constructions import neighborhood_graph, star, triangular
-from circgraph.fileio import dumps_obj, payload_to_obj
+from circgraph.fileio import coerce_bipartite, dumps_obj, parse_payload, payload_to_obj
 from circgraph.graphs import disjoint_union
 
 from helpers import relabeled
@@ -186,6 +186,40 @@ class TestIso:
         code, out, _ = run_cli(["iso", str(empty), str(empty)], capsys)
         assert code == 0
         assert json.loads(out) == {"isomorphic": True, "mapping": {}}
+
+    def test_edgeless_1200_pair_answers(self, tmp_path, capsys):
+        # 1200 interchangeable vertices: the search path is 1200 nodes deep.
+        rng = random.Random(1200)
+        paths, vertex_sets = [], []
+        for name in ("a", "b"):
+            vertices = [f"{name}{i}" for i in range(1200)]
+            rng.shuffle(vertices)
+            vertex_sets.append(sorted(vertices))
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(dumps_obj({"format": "graph-v1", "vertices": vertices, "edges": []}))
+        code, out, _ = run_cli(["iso", str(paths[0]), str(paths[1])], capsys)
+        assert code == 0
+        cert = json.loads(out)
+        assert cert["isomorphic"] is True
+        assert sorted(cert["mapping"]) == vertex_sets[0]
+        assert sorted(cert["mapping"].values()) == vertex_sets[1]
+
+    def test_respect_parts_star20_pair_answers(self, tmp_path, capsys):
+        code, out, _ = run_cli(["build", "star", "20"], capsys)
+        assert code == 0
+        star20 = coerce_bipartite(parse_payload(out))
+        rng = random.Random(20)
+        graphs, paths = [], []
+        for name in ("a", "b"):
+            graphs.append(relabeled(star20, rng)[0])
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(dumps_obj(payload_to_obj(graphs[-1])))
+        code, out, _ = run_cli(["iso", "--respect-parts", str(paths[0]), str(paths[1])], capsys)
+        assert code == 0
+        mapping = json.loads(out)["mapping"]
+        g1, g2 = graphs
+        assert {frozenset((mapping[a], mapping[b])) for a, b in g1.edges} == {frozenset(e) for e in g2.edges}
+        assert {mapping[u] for u in g1.part_u} == set(g2.part_u)
 
     def test_double_stdin_rejected(self, capsys, monkeypatch):
         code, _, err = run_cli(["iso", "-", "-"], capsys, monkeypatch, stdin_text="{}")
