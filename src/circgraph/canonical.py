@@ -4,21 +4,24 @@ The labeling follows refinement-with-individualization over one ordered
 partition: a list of cells, each listing its positions in ascending order.
 Refinement runs in rounds; each round splits cells by their members' sorted
 neighbor-cell indices, all taken at the start of the round, and the pieces
-take their cell's slot in key order. Only dirty cells are re-keyed: in the
-first refinement every cell of two or more members, afterwards only those
-holding a neighbor of a vertex that the last round split off into a piece
-other than the largest of its cell (after individualizing v: a neighbor of
-v). The members of any other cell still agree on their neighbor count in
-every cell, the largest piece's count following from its old cell's, and
-as cell indices only shift monotonically their keys stay equal. The rounds
-stop when no dirty cell splits. The smallest
+take their cell's slot in key order. Only dirty cells are re-keyed: those
+holding a neighbor of a moved vertex. In the first refinement every vertex
+counts as moved (a cell of isolated vertices has one key and never
+splits); afterwards the moved vertices are those the last round split off
+into a piece other than the largest of its cell (after individualizing v:
+v itself). The members of any other cell still agree on their neighbor
+count in every cell, the largest piece's count following from its old
+cell's, and as cell indices only shift monotonically their keys stay
+equal. The rounds stop when no dirty cell splits. The smallest
 cell of two or more members (lowest index on ties) is the branch target;
 each branch moves one member into a singleton just before the rest of its
 cell and refines again. A discrete partition, read cell by cell, is a
 candidate vertex order, and the least upper-triangular adjacency bit string
 wins. Leaves hold it as row integers (row i: positions i+1..n-1, i+1 most
-significant, so fixed-width rows compare as the string does); only the
-winner is spelled out as `bits`.
+significant, so fixed-width rows compare as the string does), read off one
+per-vertex bit table: the vertex at position i is bit n-1-i, so a row is
+the sum of its neighbors' bits below its own. `_search` returns the first
+least leaf in depth-first order; only it is spelled out as `bits`.
 
 Cells never move past each other, so in part-respecting mode, which starts
 from the cells (points, circles), all point vertices come before all circle
@@ -33,10 +36,11 @@ used. Twins, positions with the same open or the same closed neighbourhood,
 are swapped by an automorphism fixing every other position, so a candidate
 that is a twin of an explored sibling is skipped at once; each node keeps
 the twin keys of its explored candidates. Other automorphisms are
-discovered from equal-value leaves (at most 64 kept); each node keeps one
-union-find over its target cell and feeds it, before each candidate, only
-the generators found since its last update. Neither pruning changes the
-winning leaf, as the search keeps the first least leaf in depth-first order.
+discovered from equal-value leaves, each mapping the best order onto the
+leaf's (at most 64 kept); each node keeps one union-find over its target
+cell and feeds it, before each candidate, only the generators found since
+its last update. Neither pruning changes the winning leaf, as the search
+keeps the first least leaf in depth-first order.
 
 The search runs depth first on an explicit stack: each node on it is
 suspended between two of its children, in target-cell order, and resumes
@@ -50,7 +54,7 @@ part-respecting) before any labeling, and replays every mapping it returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .graphs import BipartiteGraph, Graph, GraphError, bits
 
@@ -94,16 +98,16 @@ def _refine(
     # Stable point: no cell splits by its members' neighbor-cell indices.
     # Pieces take their cell's slot in key order; singletons never split.
     # `moved` were split off their cells of a stable partition, and only
-    # cells holding a neighbor of one of them can split; None re-keys all.
+    # cells holding a neighbor of one of them can split; None moves every
+    # vertex (a cell of isolated vertices has one key and never splits).
+    if moved is None:
+        moved = range(len(nbrs))
     where = [0] * len(nbrs)
     while True:
         for i, cell in enumerate(cells):
             for v in cell:
                 where[v] = i
-        if moved is None:
-            dirty: Iterable[int] = range(len(cells))
-        else:
-            dirty = sorted({where[u] for x in moved for u in nbrs[x]})
+        dirty = sorted({where[u] for x in moved for u in nbrs[x]})
         out: list[list[int]] = []
         kept = 0
         moved = []
@@ -127,15 +131,6 @@ def _refine(
             return cells
         out += cells[kept:]
         cells = out
-
-
-class _SearchState:
-    __slots__ = ("best_rows", "best_pos2v", "gens")
-
-    def __init__(self):
-        self.best_rows: tuple[int, ...] | None = None
-        self.best_pos2v: list[int] = []
-        self.gens: list[tuple[int, ...]] = []
 
 
 def _twin_keys(masks: Sequence[int]) -> list[tuple[int, int]]:
@@ -176,37 +171,13 @@ def _in_explored_orbit(
     return any(find(u) == rv for u in explored)
 
 
-def _leaf(nbrs: tuple[tuple[int, ...], ...], cells: list[list[int]], state: _SearchState) -> None:
-    n = len(nbrs)
-    pos2v = [cell[0] for cell in cells]
-    pos = [0] * n
-    for i, v in enumerate(pos2v):
-        pos[v] = i
-    # Position j of the leaf order is bit top-j; row i keeps the bits after i.
-    top = n - 1
-    rows = tuple(
-        sum(1 << (top - pos[u]) for u in nbrs[v]) & ((1 << (top - i)) - 1)
-        for i, v in enumerate(pos2v[:-1])
-    )
-    if state.best_rows is None or rows < state.best_rows:
-        state.best_rows = rows
-        state.best_pos2v = pos2v
-    elif rows == state.best_rows and pos2v != state.best_pos2v:
-        perm = [0] * n
-        for i in range(n):
-            perm[state.best_pos2v[i]] = pos2v[i]
-        p = tuple(perm)
-        if len(state.gens) < 64 and p not in state.gens:
-            state.gens.append(p)
-
-
 def _children(
     nbrs: tuple[tuple[int, ...], ...],
     twins: list[tuple[int, int]],
     cells: list[list[int]],
     t: int,
     prefix: tuple[int, ...],
-    state: _SearchState,
+    gens: list[tuple[int, ...]],
 ) -> Iterator[tuple[list[list[int]], tuple[int, ...]]]:
     # One search node, suspended between its children: it yields each
     # unpruned child, and that child's subtree is complete when it resumes.
@@ -220,7 +191,7 @@ def _children(
         if open_key in seen or closed_key in seen:
             continue
         if explored:
-            fresh, absorbed = state.gens[absorbed:], len(state.gens)
+            fresh, absorbed = gens[absorbed:], len(gens)
             if _in_explored_orbit(parent, fresh, prefix, target, explored, v):
                 continue
         rest = [u for u in target if u != v]
@@ -234,10 +205,15 @@ def _search(
     nbrs: tuple[tuple[int, ...], ...],
     twins: list[tuple[int, int]],
     cells: list[list[int]],
-    state: _SearchState,
-) -> None:
+) -> tuple[tuple[int, ...], list[int]]:
+    """Rows and vertex order of the first least leaf in depth-first order."""
     # Depth first on an explicit stack of suspended nodes, so the depth is
     # bounded by memory rather than by the interpreter's recursion limit.
+    n = len(nbrs)
+    best: tuple[int, ...] = ()
+    best_order: list[int] = []
+    gens: list[tuple[int, ...]] = []
+    bit = [0] * n
     stack: list[Iterator[tuple[list[list[int]], tuple[int, ...]]]] = []
     prefix: tuple[int, ...] = ()
     while True:
@@ -245,10 +221,21 @@ def _search(
         for i, cell in enumerate(cells):
             if len(cell) >= 2 and (t < 0 or len(cell) < len(cells[t])):
                 t = i
-        if t < 0:
-            _leaf(nbrs, cells, state)
+        if t >= 0:
+            stack.append(_children(nbrs, twins, cells, t, prefix, gens))
         else:
-            stack.append(_children(nbrs, twins, cells, t, prefix, state))
+            # Position i of the leaf order is bit n-1-i; row i keeps the bits after i.
+            order = [cell[0] for cell in cells]
+            for i, v in enumerate(order):
+                bit[v] = 1 << (n - 1 - i)
+            rows = tuple(sum([bit[u] for u in nbrs[v]]) & (bit[v] - 1) for v in order[:-1])
+            if not best_order or rows < best:
+                best, best_order = rows, order
+            elif rows == best and len(gens) < 64:
+                perm = [0] * n
+                for a, b in zip(best_order, order):
+                    perm[a] = b
+                gens.append(tuple(perm))
         while stack:
             child = next(stack[-1], None)
             if child is not None:
@@ -256,7 +243,7 @@ def _search(
                 break
             stack.pop()
         else:
-            return
+            return best, best_order
 
 
 def _initial_cells(g: Graph, respect_parts: bool) -> list[list[int]]:
@@ -282,10 +269,9 @@ def canonical_form(g: Graph, respect_parts: bool = False) -> CanonicalForm:
     # Tuples: reading bits(mask) inside the refinement loop was slower on dense graphs.
     nbrs = tuple(tuple(bits(m)) for m in idx.masks)
     u_size = len(cells[0]) if respect_parts else None
-    state = _SearchState()
-    _search(nbrs, _twin_keys(idx.masks), _refine(nbrs, [c for c in cells if c]), state)
-    relabeling = {idx.labels[v]: i for i, v in enumerate(state.best_pos2v)}
-    bit_string = "".join(format(r, f"0{n - 1 - i}b") for i, r in enumerate(state.best_rows))
+    rows, order = _search(nbrs, _twin_keys(idx.masks), _refine(nbrs, [c for c in cells if c]))
+    relabeling = {idx.labels[v]: i for i, v in enumerate(order)}
+    bit_string = "".join(format(r, f"0{n - 1 - i}b") for i, r in enumerate(rows))
     return CanonicalForm(n, u_size, bit_string, relabeling)
 
 

@@ -106,6 +106,7 @@ def enumerate_circular(u_size: int) -> tuple[CensusEntry, ...]:
     return _classes((d.blocks, from_design(d)) for d in _designs(points))
 
 
+@lru_cache(maxsize=None)
 def free_trees(n: int) -> tuple[SimpleGraph, ...]:
     """All free trees on n vertices up to isomorphism, labels v0..v(n-1).
 
@@ -115,16 +116,11 @@ def free_trees(n: int) -> tuple[SimpleGraph, ...]:
     """
     if not 1 <= n <= 12:
         raise GraphError(f"tree size must be between 1 and 12: got {n}")
-    return _free_trees_cached(n)
-
-
-@lru_cache(maxsize=None)
-def _free_trees_cached(n: int) -> tuple[SimpleGraph, ...]:
     if n == 1:
         return (SimpleGraph(("v0",), ()),)
     seen: dict[tuple, SimpleGraph] = {}
     new = f"v{n - 1}"
-    for t in _free_trees_cached(n - 1):
+    for t in free_trees(n - 1):
         for v in t.vertices:
             g = SimpleGraph(t.vertices + (new,), t.edges + ((v, new),))
             key = canonical_form(g).key

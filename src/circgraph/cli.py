@@ -35,7 +35,8 @@ from .graphs import GraphError
 
 def _read_input(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        # Undecodable bytes reach stdin text as escapes; decode strictly, as for files.
+        return sys.stdin.read().encode("utf-8", "surrogateescape").decode("utf-8")
     return Path(path).read_text(encoding="utf-8")
 
 

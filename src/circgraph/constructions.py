@@ -17,6 +17,7 @@ from .graphs import (
     Graph,
     GraphError,
     as_simple,
+    fresh_label,
     induced_subgraph,
 )
 
@@ -122,15 +123,7 @@ def neighborhood_graph(g: Graph) -> BipartiteGraph:
         if not base.adjacency[v]:
             raise GraphError(f"isolated vertex has an empty open neighborhood: {v!r}")
     used = set(base.vertices)
-    tag: dict[str, str] = {}
-    for v in base.vertices:
-        name = f"N({v})"
-        k = 2
-        while name in used:
-            name = f"N({v})#{k}"
-            k += 1
-        tag[v] = name
-        used.add(name)
+    tag = {v: fresh_label(f"N({v})", used) for v in base.vertices}
     edges = tuple(
         (u, tag[v]) for v in base.vertices for u in sorted(base.adjacency[v])
     )

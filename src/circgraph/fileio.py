@@ -43,11 +43,22 @@ class FileFormatError(GraphError):
     """Malformed input file: bad JSON, missing fields, wrong field shapes."""
 
 
+def _is_label(x: Any) -> bool:
+    """Nonempty text that encodes as UTF-8: no lone surrogate from a JSON escape."""
+    if not isinstance(x, str) or not x:
+        return False
+    if x.isascii():
+        return True
+    try:
+        x.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _label_list(obj: dict, name: str) -> list[str]:
     value = obj.get(name)
-    if not isinstance(value, list) or not all(
-        isinstance(x, str) and x for x in value
-    ):
+    if not isinstance(value, list) or not all(_is_label(x) for x in value):
         raise FileFormatError(f"field {name!r} must be a list of nonempty text labels")
     return value
 
@@ -61,7 +72,7 @@ def _pair_list(obj: dict, name: str) -> list[tuple[str, str]]:
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(x, str) and x for x in entry)
+            or not all(_is_label(x) for x in entry)
         ):
             raise FileFormatError(
                 f"field {name!r} entry {i} must be a pair of text labels"
@@ -76,9 +87,7 @@ def _block_list(obj: dict, name: str) -> list[tuple[str, ...]]:
         raise FileFormatError(f"field {name!r} must be a list of point lists")
     blocks = []
     for i, entry in enumerate(value):
-        if not isinstance(entry, list) or not all(
-            isinstance(x, str) and x for x in entry
-        ):
+        if not isinstance(entry, list) or not all(_is_label(x) for x in entry):
             raise FileFormatError(
                 f"field {name!r} entry {i} must be a list of text labels"
             )

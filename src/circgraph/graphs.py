@@ -334,18 +334,21 @@ def metric_summary(g: Graph) -> MetricSummary:
     )
 
 
+def fresh_label(base: str, used: set[str]) -> str:
+    """First of base, base#2, base#3, ... not in `used`; it is added to `used`."""
+    name = base
+    k = 2
+    while name in used:
+        name = f"{base}#{k}"
+        k += 1
+    used.add(name)
+    return name
+
+
 def disjoint_union(g1: Graph, g2: Graph) -> SimpleGraph:
     """Tagged union of two graphs; colliding labels get a copy-index suffix."""
     used = set(g1.vertex_labels)
-    rename: dict[str, str] = {}
-    for v in g2.vertex_labels:
-        name = v
-        k = 2
-        while name in used:
-            name = f"{v}#{k}"
-            k += 1
-        rename[v] = name
-        used.add(name)
+    rename = {v: fresh_label(v, used) for v in g2.vertex_labels}
     vertices = tuple(g1.vertex_labels) + tuple(rename[v] for v in g2.vertex_labels)
     edges = tuple(g1.edges) + tuple((rename[a], rename[b]) for a, b in g2.edges)
     return SimpleGraph(vertices, edges)

@@ -438,17 +438,29 @@ class TestCheapRejection:
 class TestSearchNodeCounts:
     """The number of search nodes, counted as `_refine` calls: one for the
     root and one per child. Twin pruning leaves one child per node on
-    edgeless graphs and on the leaves of a star."""
+    edgeless graphs and on the leaves of a star. On triangular(12) the
+    search keeps 64 automorphism generators, the cap."""
 
     @pytest.mark.parametrize(
         "build, respect_parts, nodes",
         [
             (lambda: triangular(8), True, 92),
             (lambda: triangular(9), True, 129),
+            (lambda: triangular(10), True, 175),
+            (lambda: triangular(11), True, 231),
+            (lambda: triangular(12), True, 298),
             (lambda: SimpleGraph(tuple(f"v{i}" for i in range(13)), ()), False, 13),
             (lambda: star(14), True, 13),
         ],
-        ids=["triangular8-parts", "triangular9-parts", "isolated13", "star14-parts"],
+        ids=[
+            "triangular8-parts",
+            "triangular9-parts",
+            "triangular10-parts",
+            "triangular11-parts",
+            "triangular12-parts",
+            "isolated13",
+            "star14-parts",
+        ],
     )
     def test_node_count(self, monkeypatch, build, respect_parts, nodes):
         import circgraph.canonical as canonical_module

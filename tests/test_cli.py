@@ -422,6 +422,31 @@ class TestErrorHandling:
         assert err.startswith("error:")
         assert out == ""
 
+    def test_undecodable_stdin_is_an_input_error(self, capsys, monkeypatch):
+        # A process reading stdin sees an undecodable byte as an escape, as here.
+        raw = b'{"format": "bigraph-v1", "u": ["a\xffb"], "w": ["c"], "edges": [["a\xffb", "c"]]}'
+        stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run_cli(["check", "-"], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["export", "--format", "json", "{path}"], ["iso", "{path}", "{path}"], ["check", "{path}"]],
+        ids=["export", "iso", "check"],
+    )
+    def test_lone_surrogate_label_is_an_input_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "surrogate.json"
+        path.write_text(
+            '{"format": "bigraph-v1", "u": ["\\ud800"], "w": ["c"], "edges": [["\\ud800", "c"]]}'
+        )
+        code, out, err = run_cli([a.format(path=path) for a in argv], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
     def test_bad_edge_shape(self, capsys, monkeypatch):
         text = dumps_obj({"format": "graph-v1", "vertices": ["a"], "edges": [["a"]]})
         code, _, err = run_cli(["check", "-"], capsys, monkeypatch, stdin_text=text)

@@ -59,6 +59,19 @@ class TestParse:
         with pytest.raises(FileFormatError):
             parse_payload('{"format": "graph-v1", "vertices": [""], "edges": []}')
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"format": "graph-v1", "vertices": ["\\udc80"], "edges": []}',
+            '{"format": "graph-v1", "vertices": ["a", "b"], "edges": [["a", "\\ud800"]]}',
+            '{"format": "design-v1", "points": ["a"], "blocks": [["a", "\\udfff"]]}',
+        ],
+        ids=["label-list", "pair-list", "block-list"],
+    )
+    def test_labels_that_do_not_encode_rejected(self, text):
+        with pytest.raises(FileFormatError):
+            parse_payload(text)
+
 
 class TestEmission:
     def test_sorted_keys_and_trailing_newline(self):
