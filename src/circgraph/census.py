@@ -126,7 +126,7 @@ def free_trees(n: int) -> tuple[SimpleGraph, ...]:
             key = canonical_form(g).key
             if key not in seen:
                 seen[key] = g
-    return tuple(g for _, g in sorted(seen.items(), key=lambda kv: kv[0]))
+    return tuple(g for _, g in sorted(seen.items()))
 
 
 def enumerate_circular_trees(max_n: int) -> tuple[CensusEntry, ...]:

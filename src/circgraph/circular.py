@@ -168,7 +168,7 @@ def verify_point_degrees(
     cls = classification or classify(g)
     if cls.verdict is not Verdict.NON_TRIVIAL_CIRCULAR:
         return _not_applicable("point_degrees", "a non-trivial circular graph", cls)
-    min_degree, argmin = min((g.degree(u), u) for u in sorted(g.part_u))
+    min_degree, argmin = min((g.degree(u), u) for u in g.part_u)
     evidence = {"min_degree": min_degree, "vertex": argmin}
     if min_degree >= 3:
         return CheckReport("point_degrees", CheckStatus.PASS, evidence)

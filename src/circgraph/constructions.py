@@ -16,6 +16,7 @@ from .graphs import (
     BipartiteGraph,
     Graph,
     GraphError,
+    _label_problems,
     as_simple,
     fresh_label,
     induced_subgraph,
@@ -26,26 +27,19 @@ from .graphs import (
 class Design:
     """Point/block incidence data.
 
-    Blocks are normalized to sorted member tuples and stored in lexicographic
-    order. Every block needs at least three distinct members, all of them
-    declared points, and no two blocks may coincide as sets. Whether every
-    triple of points is covered exactly once is not decided here; that is
-    what `classify` answers on the incidence graph.
+    Points are stored sorted; blocks are normalized to sorted member tuples
+    and stored in lexicographic order. Every block needs at least three
+    distinct members, all of them declared points, and no two blocks may
+    coincide as sets. Whether every triple of points is covered exactly once
+    is not decided here; that is what `classify` answers on the incidence
+    graph.
     """
 
     points: tuple[str, ...]
     blocks: tuple[tuple[str, ...], ...] = ()
 
     def __post_init__(self):
-        problems: list[str] = []
-        point_set: set[str] = set()
-        for p in self.points:
-            if not isinstance(p, str) or not p:
-                problems.append(f"point label must be nonempty text: {p!r}")
-            elif p in point_set:
-                problems.append(f"duplicate point label: {p!r}")
-            else:
-                point_set.add(p)
+        problems, point_set = _label_problems(self.points, "point set")
         norm: list[tuple[str, ...]] = []
         seen: set[tuple[str, ...]] = set()
         for blk in self.blocks:
@@ -69,7 +63,7 @@ class Design:
             norm.append(members)
         if problems:
             raise GraphError("; ".join(problems))
-        object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "points", tuple(sorted(self.points)))
         object.__setattr__(self, "blocks", tuple(sorted(norm)))
 
 
@@ -107,7 +101,7 @@ def triangular(n: int) -> BipartiteGraph:
     if n < 3:
         raise GraphError(f"triangular construction needs at least 3 points: got {n}")
     points = tuple(str(i) for i in range(1, n + 1))
-    return from_design(Design(points, tuple(combinations(sorted(points), 3))))
+    return from_design(Design(points, tuple(combinations(points, 3))))
 
 
 def neighborhood_graph(g: Graph) -> BipartiteGraph:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Union
+from typing import Any, Callable, Union
 
 from . import __version__
 from .canonical import IsoCertificate
@@ -28,7 +28,7 @@ from .graphs import (
     GraphError,
     SimpleGraph,
     UNREACHABLE,
-    validate_bipartite,
+    is_label,
 )
 
 Payload = Union[SimpleGraph, BipartiteGraph, Design]
@@ -43,56 +43,28 @@ class FileFormatError(GraphError):
     """Malformed input file: bad JSON, missing fields, wrong field shapes."""
 
 
-def _is_label(x: Any) -> bool:
-    """Nonempty text that encodes as UTF-8: no lone surrogate from a JSON escape."""
-    if not isinstance(x, str) or not x:
-        return False
-    if x.isascii():
-        return True
-    try:
-        x.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
+_LABEL = "a label (nonempty UTF-8 text)"
+_PAIR = "a pair of labels"
+_BLOCK = "a list of labels"
 
 
-def _label_list(obj: dict, name: str) -> list[str]:
+def _is_pair(x: Any) -> bool:
+    return isinstance(x, list) and len(x) == 2 and all(map(is_label, x))
+
+
+def _is_block(x: Any) -> bool:
+    return isinstance(x, list) and all(map(is_label, x))
+
+
+def _list_field(obj: dict, name: str, entry: str, ok: Callable[[Any], bool]) -> list:
+    """The list in field `name`, every entry of which satisfies `ok`."""
     value = obj.get(name)
-    if not isinstance(value, list) or not all(_is_label(x) for x in value):
-        raise FileFormatError(f"field {name!r} must be a list of nonempty text labels")
+    if not isinstance(value, list):
+        raise FileFormatError(f"field {name!r} must be a list, each entry {entry}")
+    if not all(map(ok, value)):
+        i = next(i for i, x in enumerate(value) if not ok(x))
+        raise FileFormatError(f"field {name!r} entry {i} must be {entry}")
     return value
-
-
-def _pair_list(obj: dict, name: str) -> list[tuple[str, str]]:
-    value = obj.get(name)
-    if not isinstance(value, list):
-        raise FileFormatError(f"field {name!r} must be a list of label pairs")
-    pairs = []
-    for i, entry in enumerate(value):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(_is_label(x) for x in entry)
-        ):
-            raise FileFormatError(
-                f"field {name!r} entry {i} must be a pair of text labels"
-            )
-        pairs.append((entry[0], entry[1]))
-    return pairs
-
-
-def _block_list(obj: dict, name: str) -> list[tuple[str, ...]]:
-    value = obj.get(name)
-    if not isinstance(value, list):
-        raise FileFormatError(f"field {name!r} must be a list of point lists")
-    blocks = []
-    for i, entry in enumerate(value):
-        if not isinstance(entry, list) or not all(_is_label(x) for x in entry):
-            raise FileFormatError(
-                f"field {name!r} entry {i} must be a list of text labels"
-            )
-        blocks.append(tuple(entry))
-    return blocks
 
 
 def parse_payload(text: str) -> Payload:
@@ -110,16 +82,20 @@ def parse_payload(text: str) -> Payload:
         raise FileFormatError("top-level JSON value must be an object")
     fmt = obj.get("format")
     if fmt == FORMAT_BIGRAPH:
-        return validate_bipartite(
-            _label_list(obj, "u"), _label_list(obj, "w"), _pair_list(obj, "edges")
+        return BipartiteGraph(
+            _list_field(obj, "u", _LABEL, is_label),
+            _list_field(obj, "w", _LABEL, is_label),
+            _list_field(obj, "edges", _PAIR, _is_pair),
         )
     if fmt == FORMAT_GRAPH:
         return SimpleGraph(
-            tuple(_label_list(obj, "vertices")), tuple(_pair_list(obj, "edges"))
+            _list_field(obj, "vertices", _LABEL, is_label),
+            _list_field(obj, "edges", _PAIR, _is_pair),
         )
     if fmt == FORMAT_DESIGN:
         return Design(
-            tuple(_label_list(obj, "points")), tuple(_block_list(obj, "blocks"))
+            _list_field(obj, "points", _LABEL, is_label),
+            _list_field(obj, "blocks", _BLOCK, _is_block),
         )
     raise FileFormatError(
         f"unknown or missing format tag: {fmt!r} "
@@ -149,14 +125,14 @@ def payload_to_obj(payload: Payload) -> dict:
     if isinstance(payload, Design):
         return {
             "format": FORMAT_DESIGN,
-            "points": sorted(payload.points),
+            "points": list(payload.points),
             "blocks": [list(b) for b in payload.blocks],
         }
     if isinstance(payload, BipartiteGraph):
         return {
             "format": FORMAT_BIGRAPH,
-            "u": sorted(payload.part_u),
-            "w": sorted(payload.part_w),
+            "u": list(payload.part_u),
+            "w": list(payload.part_w),
             "edges": [list(e) for e in payload.edges],
         }
     return {
@@ -184,11 +160,8 @@ def jsonify(value: Any) -> Any:
         return value
     if value is UNREACHABLE:
         return "unreachable"
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = list(value)
-        if isinstance(value, (set, frozenset)):
-            items = sorted(items, key=repr)
-        return [jsonify(x) for x in items]
+    if isinstance(value, (list, tuple)):
+        return [jsonify(x) for x in value]
     if isinstance(value, dict):
         return {str(k): jsonify(v) for k, v in value.items()}
     raise TypeError(f"value is not serializable into a report: {value!r}")
@@ -277,14 +250,14 @@ def to_dot(g: Graph) -> str:
     """
     lines = ["graph G {"]
     if isinstance(g, BipartiteGraph):
-        for u in sorted(g.part_u):
+        for u in g.part_u:
             lines.append(f"  {_dot_quote(u)} [shape=box];")
-        for w in sorted(g.part_w):
+        for w in g.part_w:
             lines.append(f"  {_dot_quote(w)} [shape=circle];")
     else:
         for v in g.vertices:
             lines.append(f"  {_dot_quote(v)};")
-    for a, b in sorted(g.edges):
+    for a, b in g.edges:
         lines.append(f"  {_dot_quote(a)} -- {_dot_quote(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,18 +1,19 @@
 """Immutable simple and bipartite graphs with exact metric and neighborhood queries.
 
-Vertex labels are opaque nonempty text; no numeric parsing anywhere. Every
-construction path validates and normalizes, so a graph value in hand always
-satisfies its invariants: no loops, no duplicate edges, declared endpoints,
-and (for bipartite graphs) disjoint parts with every edge crossing them.
-All set-valued results come back in lexicographic label order so output is
-byte-stable.
+Vertex labels are opaque nonempty text that encodes as UTF-8 (`is_label`);
+no numeric parsing anywhere. Every construction path validates and
+normalizes, so a graph value in hand always satisfies its invariants: no
+loops, no duplicate edges, declared endpoints, and (for bipartite graphs)
+disjoint parts with every edge crossing them. Vertices, both bipartite parts
+and edges are stored in lexicographic label order, and all set-valued results
+come back in that order, so output is byte-stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
-from typing import Iterable, Iterator, Union
+from typing import Any, Iterable, Iterator, Union
 
 
 class GraphError(ValueError):
@@ -57,12 +58,25 @@ UNREACHABLE = _UnreachableType()
 Distance = Union[int, _UnreachableType]
 
 
+def is_label(x: Any) -> bool:
+    """Nonempty text that encodes as UTF-8: no lone surrogate such as "\\ud800"."""
+    if not isinstance(x, str) or not x:
+        return False
+    if x.isascii():
+        return True
+    try:
+        x.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _label_problems(labels: Iterable[str], where: str) -> tuple[list[str], set[str]]:
     problems: list[str] = []
     seen: set[str] = set()
     for v in labels:
-        if not isinstance(v, str) or not v:
-            problems.append(f"{where} label must be nonempty text: {v!r}")
+        if not is_label(v):
+            problems.append(f"{where} label must be nonempty UTF-8 text: {v!r}")
         elif v in seen:
             problems.append(f"duplicate label in {where}: {v!r}")
         else:
@@ -176,7 +190,7 @@ class SimpleGraph(_Indexed):
             norm.add(key)
         if problems:
             raise GraphError("; ".join(problems))
-        object.__setattr__(self, "vertices", tuple(sorted(seen)))
+        object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
     @property
@@ -188,10 +202,10 @@ class SimpleGraph(_Indexed):
 class BipartiteGraph(_Indexed):
     """Bipartite graph with named parts: points (part_u) and circles (part_w).
 
-    Part sequences keep their construction order; edges are normalized to
-    (u, w) orientation and stored sorted. Construction rejects, with the full
-    violation list, any edge inside a part, labels shared across parts, and
-    duplicated labels or edges.
+    Both parts are stored sorted; edges are normalized to (u, w) orientation
+    and stored sorted. Construction rejects, with the full violation list,
+    any edge inside a part, labels shared across parts, and duplicated labels
+    or edges.
     """
 
     part_u: tuple[str, ...]
@@ -233,8 +247,8 @@ class BipartiteGraph(_Indexed):
             norm.add(key)
         if violations:
             raise BipartiteError(violations)
-        object.__setattr__(self, "part_u", tuple(self.part_u))
-        object.__setattr__(self, "part_w", tuple(self.part_w))
+        object.__setattr__(self, "part_u", tuple(sorted(self.part_u)))
+        object.__setattr__(self, "part_w", tuple(sorted(self.part_w)))
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
     @property

@@ -199,6 +199,15 @@ class TestFromDesign:
         with pytest.raises(GraphError, match="duplicate block"):
             Design(("1", "2", "3"), (("1", "2", "3"), ("3", "2", "1")))
 
+    def test_point_that_does_not_encode_rejected(self):
+        with pytest.raises(GraphError, match="UTF-8"):
+            Design(("1", "2", "\ud800"), (("1", "2", "\ud800"),))
+
+    def test_points_stored_sorted(self):
+        d = Design(("3", "1", "2"), (("1", "2", "3"),))
+        assert d.points == ("1", "2", "3")
+        assert d == Design(("1", "2", "3"), (("3", "2", "1"),))
+
     def test_blocks_sorted_and_labeled(self):
         d = Design(("1", "2", "3", "4"), (("4", "2", "3"), ("3", "1", "2")))
         g = from_design(d)

@@ -59,6 +59,10 @@ class TestParse:
         with pytest.raises(FileFormatError):
             parse_payload('{"format": "graph-v1", "vertices": [""], "edges": []}')
 
+    def test_bad_label_named_by_index(self):
+        with pytest.raises(FileFormatError, match="'vertices' entry 1"):
+            parse_payload('{"format": "graph-v1", "vertices": ["a", ""], "edges": []}')
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from circgraph.graphs import (
     UNREACHABLE,
     BipartiteError,
+    BipartiteGraph,
     GraphError,
     SimpleGraph,
     as_simple,
@@ -58,6 +59,10 @@ class TestConstruction:
         g = SimpleGraph((), ())
         assert g.vertices == () and g.edges == ()
 
+    def test_label_that_does_not_encode_rejected(self):
+        with pytest.raises(GraphError, match="UTF-8"):
+            SimpleGraph(("\ud800", "b"), (("\ud800", "b"),))
+
 
 class TestValidateBipartite:
     def test_valid_p3(self):
@@ -90,6 +95,15 @@ class TestValidateBipartite:
     def test_edge_orientation_normalized(self):
         g = validate_bipartite(["a"], ["x"], [("x", "a")])
         assert g.edges == (("a", "x"),)
+
+    def test_label_that_does_not_encode_rejected(self):
+        with pytest.raises(BipartiteError, match="UTF-8"):
+            BipartiteGraph(("a",), ("\ud800",), (("a", "\ud800"),))
+
+    def test_parts_stored_sorted(self):
+        g = BipartiteGraph(("u2", "u1"), ("w",), (("u2", "w"), ("u1", "w")))
+        assert g.part_u == ("u1", "u2")
+        assert g == BipartiteGraph(("u1", "u2"), ("w",), (("u1", "w"), ("u2", "w")))
 
 
 class TestCommonNeighbors:
