@@ -73,8 +73,14 @@ def block_label(members: tuple[str, ...]) -> str:
 
 
 def from_design(d: Design) -> BipartiteGraph:
-    """Incidence graph of a design: points vs one circle vertex per block."""
-    labels = tuple(block_label(b) for b in d.blocks)
+    """Incidence graph of a design: points vs one circle vertex per block.
+
+    Blocks are labeled in their stored order by `block_label`; a label that
+    is already a point or an earlier block gets the first free `#k` suffix
+    (`fresh_label`), so every valid design has an incidence graph.
+    """
+    used = set(d.points)
+    labels = tuple(fresh_label(block_label(b), used) for b in d.blocks)
     edges = tuple((p, lab) for b, lab in zip(d.blocks, labels) for p in b)
     return BipartiteGraph(d.points, labels, edges)
 

@@ -99,8 +99,23 @@ class GraphIndex:
     Position i holds the i-th label in sorted order, so reading positions in
     ascending order reads labels in lexicographic order. Bit j of masks[i] is
     set when positions i and j are adjacent; `points` has the bits of the
-    point part of a bipartite graph and is 0 for a simple graph. `layers`,
-    the all-sources BFS table, is computed once per graph, on first use.
+    point part of a bipartite graph and is 0 for a simple graph.
+
+    `layers`, the all-sources BFS table (entry i is bfs_layers(masks, i)),
+    is computed once per graph, on first use, in level-synchronous rounds:
+    each round advances every source that still has unseen vertices by one
+    level. Source i's next frontier is either the OR of masks[j] over j in
+    its frontier (top-down), or the OR of its neighbours' frontiers minus
+    its ball, since a vertex at distance k+1 from i is at distance exactly k
+    from some neighbour of i. A step goes top-down when the frontier has no
+    more vertices than i has neighbours, so it reads min(|frontier|, degree)
+    masks, never more than the per-source BFS would. On the paper's circular
+    graphs the early rounds go top-down and the later ones, whose frontiers
+    are large, take the neighbours' way. A source drops out once its
+    frontier is empty or its ball is everything, so the table takes at most
+    one round more than the largest finite distance. `verify` builds it only
+    for graphs that `classify` accepts, whose diameter is at most 4: at most
+    5 rounds.
     """
 
     labels: tuple[str, ...]
@@ -123,7 +138,34 @@ class GraphIndex:
 
     @cached_property
     def layers(self) -> tuple[list[int], ...]:
-        return tuple(bfs_layers(self.masks, i) for i in range(len(self.masks)))
+        masks = self.masks
+        n = len(masks)
+        table = tuple([1 << i] for i in range(n))
+        frontier = [1 << i for i in range(n)]
+        unseen = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
+        active = [i for i in range(n) if unseen[i]]
+        while active:
+            # A source that drops out keeps frontier 0 from the next round on.
+            nxt = [0] * n
+            still = []
+            for i in active:
+                f, m = frontier[i], masks[i]
+                reach = 0
+                if f.bit_count() <= m.bit_count():
+                    for j in bits(f):
+                        reach |= masks[j]
+                else:
+                    for j in bits(m):
+                        reach |= frontier[j]
+                f = reach & unseen[i]
+                if f:
+                    table[i].append(f)
+                    nxt[i] = f
+                    unseen[i] ^= f
+                    if unseen[i]:
+                        still.append(i)
+            frontier, active = nxt, still
+        return table
 
 
 class _Indexed:
@@ -275,7 +317,7 @@ def validate_bipartite(
     edges: Iterable[tuple[str, str]],
 ) -> BipartiteGraph:
     """Build a checked BipartiteGraph or raise BipartiteError listing every violation."""
-    return BipartiteGraph(tuple(part_u), tuple(part_w), tuple(tuple(e) for e in edges))
+    return BipartiteGraph(tuple(part_u), tuple(part_w), tuple(edges))
 
 
 def as_simple(g: Graph) -> SimpleGraph:
@@ -402,6 +444,8 @@ def all_pairs_distances(g: Graph) -> tuple[list[int], ...]:
     """BFS layer masks from every position: entry i is bfs_layers(masks, i).
 
     A position in no layer of entry i is unreachable from position i. The
-    table is computed once per graph and shared: do not modify it.
+    table is `GraphIndex.layers`: built once per graph in level-synchronous
+    rounds, each frontier expanded top-down or from the neighbours'
+    frontiers, whichever reads fewer masks, and shared: do not modify it.
     """
     return g.index.layers

@@ -322,14 +322,18 @@ class TestRunAllChecks:
         assert all(r.status is CheckStatus.PASS for r in run_all_checks(triangular(n)))
 
     def test_one_bfs_per_vertex(self, monkeypatch):
-        # The distance profile and the metric bounds read one shared table.
-        starts = []
-        real = graphs.bfs_layers
+        # The distance profile and the metric bounds read one shared table,
+        # which holds the BFS from every vertex. A lookup reaches the class
+        # attribute only when the index has no cached table, so each lookup
+        # counted here builds one.
+        builds = []
+        table = graphs.GraphIndex.__dict__["layers"]
 
-        def counting(masks, start):
-            starts.append(start)
-            return real(masks, start)
+        class Counting:
+            def __get__(self, index, owner=None):
+                builds.append(index)
+                return table.__get__(index, owner)
 
-        monkeypatch.setattr(graphs, "bfs_layers", counting)
+        monkeypatch.setattr(graphs.GraphIndex, "layers", Counting())
         run_all_checks(triangular(6))
-        assert len(starts) == 26
+        assert len(builds) == 1

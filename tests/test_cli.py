@@ -100,6 +100,21 @@ class TestCheckVerify:
         assert code == 0
         assert json.loads(out)["classification"]["verdict"] == "NonTrivialCircular"
 
+    @pytest.mark.parametrize(
+        "design",
+        [
+            {"points": ["a,b", "c", "d", "a", "b,c"], "blocks": [["a,b", "c", "d"], ["a", "b,c", "d"]]},
+            {"points": ["x", "y", "z", "b{x,y,z}"], "blocks": [["x", "y", "z"]]},
+        ],
+        ids=["two-blocks-one-label", "block-label-is-a-point"],
+    )
+    @pytest.mark.parametrize("command", ["check", "verify"])
+    def test_design_with_colliding_block_labels(self, capsys, monkeypatch, command, design):
+        text = dumps_obj({"format": "design-v1", **design})
+        code, out, err = run_cli([command, "-"], capsys, monkeypatch, stdin_text=text)
+        assert code in (0, 1), err
+        assert json.loads(out)["classification"]["verdict"]
+
     def test_verify_requires_bipartite(self, capsys, monkeypatch):
         code, _, err = run_cli(["verify", "-"], capsys, monkeypatch, stdin_text=K4_FILE)
         assert code == 2

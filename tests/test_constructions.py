@@ -212,3 +212,17 @@ class TestFromDesign:
         d = Design(("1", "2", "3", "4"), (("4", "2", "3"), ("3", "1", "2")))
         g = from_design(d)
         assert g.part_w == ("b{1,2,3}", "b{2,3,4}")
+
+    def test_colliding_block_labels_get_suffix(self):
+        # Both blocks spell b{a,b,c,d}; the later one in stored order gets #2.
+        d = Design(("a,b", "c", "d", "a", "b,c"), (("a,b", "c", "d"), ("a", "b,c", "d")))
+        g = from_design(d)
+        assert g.part_w == ("b{a,b,c,d}", "b{a,b,c,d}#2")
+        assert g.neighbors("b{a,b,c,d}") == {"a", "b,c", "d"}
+        assert g.neighbors("b{a,b,c,d}#2") == {"a,b", "c", "d"}
+
+    def test_block_label_taken_by_a_point_gets_suffix(self):
+        d = Design(("x", "y", "z", "b{x,y,z}"), (("x", "y", "z"),))
+        g = from_design(d)
+        assert g.part_w == ("b{x,y,z}#2",)
+        assert not set(g.part_w) & set(g.part_u)

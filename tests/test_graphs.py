@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circgraph import graphs
 from circgraph.graphs import (
     UNREACHABLE,
     BipartiteError,
@@ -11,6 +12,7 @@ from circgraph.graphs import (
     GraphError,
     SimpleGraph,
     as_simple,
+    bfs_layers,
     common_neighbors,
     connected_components,
     disjoint_union,
@@ -22,6 +24,7 @@ from circgraph.graphs import (
 from circgraph.constructions import star, triangular
 
 from helpers import (
+    oracle_bfs,
     oracle_diameter_radius,
     oracle_distance,
     simple_cycles_up_to,
@@ -31,6 +34,24 @@ from strategies import bipartite_graphs, simple_graphs, nonempty_simple_graphs
 
 def path_graph(labels):
     return SimpleGraph(tuple(labels), tuple(zip(labels, labels[1:])))
+
+
+def clique_with_tail(k, p):
+    """K_k with a p-vertex path hanging off its last vertex."""
+    clique = [f"k{i}" for i in range(k)]
+    tail = [f"p{i:02d}" for i in range(p)]
+    edges = [(a, b) for i, a in enumerate(clique) for b in clique[i + 1:]]
+    edges += zip(clique[-1:] + tail, tail)
+    return SimpleGraph(tuple(clique + tail), tuple(edges))
+
+
+def assert_table_is_bfs(g):
+    idx = g.index
+    assert len(idx.layers) == len(idx.labels)
+    for i, layers in enumerate(idx.layers):
+        assert layers == bfs_layers(idx.masks, i)
+        dist = {v: d for d, layer in enumerate(layers) for v in idx.labels_of(layer)}
+        assert dist == oracle_bfs(g, idx.labels[i])
 
 
 class TestConstruction:
@@ -204,6 +225,59 @@ class TestMetricSummary:
     def test_matches_all_pairs_oracle(self, g):
         s = metric_summary(g)
         assert (s.diameter, s.radius) == oracle_diameter_radius(g)
+
+
+class TestAllSourcesTable:
+    """`GraphIndex.layers` equals the per-source BFS from every position."""
+
+    @settings(max_examples=80)
+    @given(simple_graphs(max_n=9))
+    def test_simple_graphs(self, g):
+        assert_table_is_bfs(g)
+
+    @settings(max_examples=80)
+    @given(bipartite_graphs())
+    def test_bipartite_graphs(self, g):
+        assert_table_is_bfs(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            SimpleGraph((), ()),
+            SimpleGraph(("a", "b", "c"), ()),
+            disjoint_union(triangular(4), path_graph(["a", "b", "c", "d"])),
+            path_graph([f"v{i:02d}" for i in range(30)]),
+            clique_with_tail(8, 8),
+        ],
+        ids=["empty", "isolated", "disconnected", "path30", "k8_tail8"],
+    )
+    def test_hand_cases(self, g):
+        assert_table_is_bfs(g)
+
+    def test_each_step_reads_the_cheaper_way(self, monkeypatch):
+        # Clique sources expand a frontier no wider than their degree
+        # top-down; tail sources reach the clique with a frontier wider than
+        # their degree and read their neighbours' frontiers instead.
+        g = clique_with_tail(8, 8)
+        idx = g.index
+        everything = (1 << len(idx.masks)) - 1
+        per_source = tuple(bfs_layers(idx.masks, i) for i in range(len(idx.masks)))
+        steps = []
+        for m, layers in zip(idx.masks, per_source):
+            expanded = layers[:-1] if sum(layers) == everything else layers
+            steps += [(f.bit_count(), m.bit_count()) for f in expanded]
+        assert any(f < d for f, d in steps) and any(f > d for f, d in steps)
+        read = []
+        real = graphs.bits
+
+        def counting(mask):
+            read.append(mask.bit_count())
+            return real(mask)
+
+        monkeypatch.setattr(graphs, "bits", counting)
+        assert idx.layers == per_source
+        assert sum(read) == sum(min(f, d) for f, d in steps)
+        assert sum(read) < sum(f for f, _ in steps)
 
 
 class TestDisjointUnion:
