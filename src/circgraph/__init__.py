@@ -56,7 +56,6 @@ from .graphs import (
     distance,
     induced_subgraph,
     metric_summary,
-    validate_bipartite,
 )
 
 __all__ = [
@@ -99,7 +98,6 @@ __all__ = [
     "run_all_checks",
     "star",
     "triangular",
-    "validate_bipartite",
     "verify_distance_profile",
     "verify_metric_bounds",
     "verify_point_degrees",

@@ -5,10 +5,16 @@ triple of points has exactly one common circle and every circle has degree at
 least three. The checks here verify, on a concrete instance, the facts that
 follow from those two axioms: the bound on common neighbors of circle pairs,
 point degrees, the distance profile, and the diameter/radius values.
+
+Each check takes only the graph and works out for itself whether it
+applies, from `classify`. The verdict is computed once per graph value and
+kept while the graph lives, so a caller that classifies and then runs every
+check pays for one classification.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
@@ -16,6 +22,7 @@ from typing import Any, Optional
 
 from .graphs import (
     BipartiteGraph,
+    GraphIndex,
     all_pairs_distances,
     bits,
     metric_summary,
@@ -84,14 +91,31 @@ SINGLE_POINT_NOTE = (
 EMPTY_PARTS_NOTE = "no circles and at most two points: nothing models a circular space"
 
 
+# Verdicts by graph index. The index compares by identity and is held by its
+# graph value, so an entry is dropped once the graph is. Two threads that
+# classify one new graph at once may both compute it; they store equal verdicts.
+_VERDICTS: weakref.WeakKeyDictionary[GraphIndex, CircularClassification] = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def classify(g: BipartiteGraph) -> CircularClassification:
     """Decide NotCircular / TrivialCircular / NonTrivialCircular.
 
     Circle degrees are checked first, then point triples in lexicographic
     order; the first violation found becomes the witness. A trivial verdict
     is the star with its center among the circles and at least three leaves.
+    The verdict is computed on the first call for a graph value; later calls
+    return the same object.
     """
     idx = g.index
+    cls = _VERDICTS.get(idx)
+    if cls is None:
+        cls = _VERDICTS[idx] = _classify(g, idx)
+    return cls
+
+
+def _classify(g: BipartiteGraph, idx: GraphIndex) -> CircularClassification:
     m = idx.masks
     vacuous = len(g.part_u) < 3
     note = SINGLE_POINT_NOTE if len(g.part_u) == 1 and g.part_w else None
@@ -136,11 +160,9 @@ def _not_applicable(check: str, requirement: str, cls: CircularClassification) -
     )
 
 
-def verify_w_pair_bound(
-    g: BipartiteGraph, classification: CircularClassification | None = None
-) -> CheckReport:
+def verify_w_pair_bound(g: BipartiteGraph) -> CheckReport:
     """Check cn(w1, w2) <= 2 over every unordered pair of circles."""
-    cls = classification or classify(g)
+    cls = classify(g)
     if not cls.is_circular:
         return _not_applicable("w_pair_bound", "a circular graph", cls)
     idx = g.index
@@ -161,11 +183,9 @@ def verify_w_pair_bound(
     return CheckReport("w_pair_bound", CheckStatus.FAIL, evidence, max_pair)
 
 
-def verify_point_degrees(
-    g: BipartiteGraph, classification: CircularClassification | None = None
-) -> CheckReport:
+def verify_point_degrees(g: BipartiteGraph) -> CheckReport:
     """Check that every point of a non-trivial circular graph has degree >= 3."""
-    cls = classification or classify(g)
+    cls = classify(g)
     if cls.verdict is not Verdict.NON_TRIVIAL_CIRCULAR:
         return _not_applicable("point_degrees", "a non-trivial circular graph", cls)
     min_degree, argmin = min((g.degree(u), u) for u in g.part_u)
@@ -180,15 +200,13 @@ _ALLOWED_WW = frozenset({2, 4})
 _ALLOWED_UW = frozenset({1, 3})
 
 
-def verify_distance_profile(
-    g: BipartiteGraph, classification: CircularClassification | None = None
-) -> CheckReport:
+def verify_distance_profile(g: BipartiteGraph) -> CheckReport:
     """Check the distance trichotomy on a non-trivial circular graph.
 
     Point pairs must sit at distance 2, circle pairs at 2 or 4, and mixed
     pairs at 1 or 3.
     """
-    cls = classification or classify(g)
+    cls = classify(g)
     if cls.verdict is not Verdict.NON_TRIVIAL_CIRCULAR:
         return _not_applicable("distance_profile", "a non-trivial circular graph", cls)
     table = all_pairs_distances(g)
@@ -224,11 +242,9 @@ def verify_distance_profile(
     return CheckReport("distance_profile", CheckStatus.FAIL, evidence, counterexample)
 
 
-def verify_metric_bounds(
-    g: BipartiteGraph, classification: CircularClassification | None = None
-) -> CheckReport:
+def verify_metric_bounds(g: BipartiteGraph) -> CheckReport:
     """Check diameter and radius: (2, 1) for trivial, (3..4, 3) for non-trivial."""
-    cls = classification or classify(g)
+    cls = classify(g)
     if not cls.is_circular:
         return _not_applicable("metric_bounds", "a circular graph", cls)
     summary = metric_summary(g)
@@ -285,14 +301,11 @@ def check_linear_axioms(g: BipartiteGraph) -> CheckReport:
     return CheckReport("linear_axioms", CheckStatus.PASS, evidence)
 
 
-def run_all_checks(
-    g: BipartiteGraph, classification: CircularClassification | None = None
-) -> tuple[CheckReport, ...]:
+def run_all_checks(g: BipartiteGraph) -> tuple[CheckReport, ...]:
     """The full circular-graph check suite in a fixed, report-stable order."""
-    cls = classification or classify(g)
     return (
-        verify_w_pair_bound(g, cls),
-        verify_point_degrees(g, cls),
-        verify_distance_profile(g, cls),
-        verify_metric_bounds(g, cls),
+        verify_w_pair_bound(g),
+        verify_point_degrees(g),
+        verify_distance_profile(g),
+        verify_metric_bounds(g),
     )

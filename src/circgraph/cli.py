@@ -54,7 +54,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     text = _read_input(args.path)
     g = coerce_bipartite(parse_payload(text))
     cls = classify(g)
-    _emit(report_obj(sha256_digest(text), classification=cls))
+    _emit(report_obj(sha256_digest(text), cls))
     return 0 if cls.is_circular else 1
 
 
@@ -62,8 +62,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     text = _read_input(args.path)
     g = coerce_bipartite(parse_payload(text))
     cls = classify(g)
-    checks = run_all_checks(g, cls)
-    _emit(report_obj(sha256_digest(text), classification=cls, checks=checks))
+    checks = run_all_checks(g)
+    _emit(report_obj(sha256_digest(text), cls, checks))
     failed = any(r.status is CheckStatus.FAIL for r in checks)
     return 0 if cls.is_circular and not failed else 1
 

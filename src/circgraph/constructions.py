@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .circular import CircularClassification, Verdict, classify
+from .circular import Verdict, classify
 from .graphs import (
     BipartiteGraph,
     Graph,
@@ -130,18 +130,15 @@ def neighborhood_graph(g: Graph) -> BipartiteGraph:
     return BipartiteGraph(base.vertices, tuple(tag[v] for v in base.vertices), edges)
 
 
-def derive_linear(
-    g: BipartiteGraph,
-    pivot: str,
-    classification: CircularClassification | None = None,
-) -> BipartiteGraph:
+def derive_linear(g: BipartiteGraph, pivot: str) -> BipartiteGraph:
     """Delete a pivot point and every circle missing it; the rest is induced.
 
     On a non-trivial circular graph the result satisfies the linear-graph
     conditions: surviving point pairs keep exactly one common circle and no
-    degree drops below 2.
+    degree drops below 2. Any graph that `classify` does not find
+    non-trivial circular raises GraphError.
     """
-    cls = classification or classify(g)
+    cls = classify(g)
     if cls.verdict is not Verdict.NON_TRIVIAL_CIRCULAR:
         raise GraphError(
             "pivot deletion requires a non-trivial circular graph; "
@@ -149,7 +146,7 @@ def derive_linear(
         )
     if pivot not in g.part_u:
         raise GraphError(f"pivot must be a point vertex: {pivot!r}")
-    keep = (set(g.part_u) - {pivot}) | set(g.adjacency[pivot])
+    keep = (set(g.part_u) - {pivot}) | g.neighbors(pivot)
     result = induced_subgraph(g, keep)
     assert isinstance(result, BipartiteGraph)
     return result

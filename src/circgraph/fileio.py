@@ -214,7 +214,7 @@ def entry_to_obj(entry: CensusEntry) -> dict:
 
 def report_obj(
     input_digest: str,
-    classification: CircularClassification | None = None,
+    cls: CircularClassification | None = None,
     checks: tuple[CheckReport, ...] = (),
     census: tuple[CensusEntry, ...] | None = None,
 ) -> dict:
@@ -223,8 +223,8 @@ def report_obj(
         "tool": {"name": "circgraph", "version": __version__},
         "input_digest": input_digest,
     }
-    if classification is not None:
-        obj["classification"] = classification_to_obj(classification)
+    if cls is not None:
+        obj["classification"] = classification_to_obj(cls)
     if checks:
         obj["checks"] = [check_to_obj(r) for r in checks]
     if census is not None:

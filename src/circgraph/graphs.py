@@ -311,15 +311,6 @@ class MetricSummary:
     connected: bool
 
 
-def validate_bipartite(
-    part_u: Iterable[str],
-    part_w: Iterable[str],
-    edges: Iterable[tuple[str, str]],
-) -> BipartiteGraph:
-    """Build a checked BipartiteGraph or raise BipartiteError listing every violation."""
-    return BipartiteGraph(tuple(part_u), tuple(part_w), tuple(edges))
-
-
 def as_simple(g: Graph) -> SimpleGraph:
     """Forget the bipartition; identity on SimpleGraph inputs."""
     if isinstance(g, SimpleGraph):
@@ -330,7 +321,8 @@ def as_simple(g: Graph) -> SimpleGraph:
 def common_neighbors(g: Graph, s: Iterable[str]) -> tuple[str, ...]:
     """Vertices adjacent to every member of s, in lexicographic order.
 
-    The count of the result is the cn value used throughout the axiom checks.
+    A label-level query; the checks count common neighbours on the index
+    masks directly.
     """
     members = sorted(set(s))
     if not members:

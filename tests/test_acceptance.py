@@ -85,8 +85,7 @@ def test_criterion_04_distance_profile_and_metric_bounds():
     ]
     graphs += [triangular(n) for n in range(4, 9)]
     for g in graphs:
-        cls = classify(g)
-        profile = verify_distance_profile(g, cls)
+        profile = verify_distance_profile(g)
         if profile.status is not CheckStatus.PASS:
             failures.append(f"distance profile failed: {profile.counterexample}")
             continue
@@ -97,7 +96,7 @@ def test_criterion_04_distance_profile_and_metric_bounds():
             and set(ev["u_w_distances"]) <= {1, 3}
         ):
             failures.append(f"distance sets out of range: {ev}")
-        metric = verify_metric_bounds(g, cls)
+        metric = verify_metric_bounds(g)
         if metric.status is not CheckStatus.PASS:
             failures.append(f"metric bounds failed: {metric.evidence}")
         elif metric.evidence["radius"] != 3 or metric.evidence["diameter"] not in (3, 4):
@@ -151,9 +150,8 @@ def test_criterion_07_pivot_deletion_yields_linear():
     failures = []
     for n in range(4, 9):
         g = triangular(n)
-        cls = classify(g)
         for pivot in g.part_u:
-            derived = derive_linear(g, pivot, cls)
+            derived = derive_linear(g, pivot)
             if check_linear_axioms(derived).status is not CheckStatus.PASS:
                 failures.append(f"pivot {pivot} of triangular({n}) is not linear")
     c6 = SimpleGraph(

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from circgraph import census
+from circgraph import census, circular
 from circgraph.canonical import are_isomorphic
 from circgraph.census import (
     enumerate_circular,
@@ -81,7 +81,7 @@ class TestCircularCensus:
             cls = classify(entry.graph)
             assert cls.verdict is entry.verdict
             assert brute_force_classify(entry.graph) == cls
-            for report in run_all_checks(entry.graph, cls):
+            for report in run_all_checks(entry.graph):
                 assert report.status is not CheckStatus.FAIL
             summary = metric_summary(entry.graph)
             assert summary.connected
@@ -137,6 +137,16 @@ class TestCircularTrees:
         assert all(e.verdict is Verdict.TRIVIAL_CIRCULAR for e in entries)
         for m, entry in zip(range(4, 10), entries):
             assert are_isomorphic(entry.graph, star(m)).isomorphic
+
+    def test_each_orientation_classified_once(self, monkeypatch):
+        # The 7 class winners reuse the verdict their orientation got.
+        calls = []
+        real = circular._classify
+        monkeypatch.setattr(
+            circular, "_classify", lambda g, idx: calls.append(g) or real(g, idx)
+        )
+        enumerate_circular_trees(10)
+        assert len(calls) == 402
 
     def test_max2_empty(self):
         assert enumerate_circular_trees(2) == ()

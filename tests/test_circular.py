@@ -1,12 +1,14 @@
 """Classification and the structural check suite."""
 
+import gc
 import random
+import weakref
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
-from circgraph import graphs
+from circgraph import circular, graphs
 from circgraph.circular import (
     CheckStatus,
     CircularClassification,
@@ -119,6 +121,47 @@ class TestClassify:
         assert classify(h) == classify(g)
 
 
+class TestVerdictOwnedByChecks:
+    """The checks and `derive_linear` work out the verdict themselves, once
+    per graph value; a caller cannot hand them one."""
+
+    def test_one_verdict_per_graph_value(self):
+        g = triangular(5)
+        assert classify(g) is classify(g)
+        assert classify(triangular(5)) == classify(g)
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            verify_w_pair_bound,
+            verify_point_degrees,
+            verify_distance_profile,
+            verify_metric_bounds,
+            run_all_checks,
+        ],
+    )
+    def test_checks_take_no_verdict(self, check):
+        # A verdict of another graph once made a valid star fail.
+        stale = classify(triangular(4))
+        with pytest.raises(TypeError):
+            check(star(5), stale)
+        with pytest.raises(TypeError):
+            check(star(5), classification=stale)
+
+    def test_derive_linear_takes_no_verdict(self):
+        g = triangular(4)
+        with pytest.raises(TypeError):
+            derive_linear(g, "1", classify(g))
+
+    def test_memo_keeps_no_graph_alive(self):
+        g = triangular(4)
+        classify(g)
+        graph, index = weakref.ref(g), weakref.ref(g.index)
+        del g
+        gc.collect()
+        assert graph() is None and index() is None
+
+
 class TestWPairBound:
     def test_triangular5_max_two(self):
         g = triangular(5)
@@ -216,8 +259,12 @@ class TestDistanceProfileFailures:
 
     FORCED = CircularClassification(Verdict.NON_TRIVIAL_CIRCULAR, None, False)
 
+    @pytest.fixture(autouse=True)
+    def forced_verdict(self, monkeypatch):
+        monkeypatch.setattr(circular, "classify", lambda g: self.FORCED)
+
     def check_against_oracle(self, g):
-        report = verify_distance_profile(g, self.FORCED)
+        report = verify_distance_profile(g)
         observed, first = oracle_distance_profile(g)
         keys = ("u_pair_distances", "w_pair_distances", "u_w_distances")
         for key, seen in zip(keys, observed):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circgraph import cli
+from circgraph import circular, cli
 from circgraph.cli import main
 from circgraph.constructions import neighborhood_graph, star, triangular
 from circgraph.fileio import coerce_bipartite, dumps_obj, parse_payload, payload_to_obj
@@ -114,6 +114,18 @@ class TestCheckVerify:
         code, out, err = run_cli([command, "-"], capsys, monkeypatch, stdin_text=text)
         assert code in (0, 1), err
         assert json.loads(out)["classification"]["verdict"]
+
+    def test_verify_classifies_once(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "triangular5.json"
+        path.write_text(dumps_obj(payload_to_obj(triangular(5))), encoding="utf-8")
+        calls = []
+        real = circular._classify
+        monkeypatch.setattr(
+            circular, "_classify", lambda g, idx: calls.append(g) or real(g, idx)
+        )
+        code, _, _ = run_cli(["verify", str(path)], capsys)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_verify_requires_bipartite(self, capsys, monkeypatch):
         code, _, err = run_cli(["verify", "-"], capsys, monkeypatch, stdin_text=K4_FILE)

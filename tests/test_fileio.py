@@ -113,7 +113,7 @@ class TestJsonify:
         blob = dumps_obj(
             {
                 "classification": classification_to_obj(cls),
-                "checks": [check_to_obj(r) for r in run_all_checks(g, cls)],
+                "checks": [check_to_obj(r) for r in run_all_checks(g)],
             }
         )
         parsed = json.loads(blob)

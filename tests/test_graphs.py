@@ -19,7 +19,6 @@ from circgraph.graphs import (
     distance,
     induced_subgraph,
     metric_summary,
-    validate_bipartite,
 )
 from circgraph.constructions import star, triangular
 
@@ -87,34 +86,34 @@ class TestConstruction:
 
 class TestValidateBipartite:
     def test_valid_p3(self):
-        g = validate_bipartite(["a"], ["x", "y"], [("a", "x"), ("a", "y")])
+        g = BipartiteGraph(("a",), ("x", "y"), (("a", "x"), ("a", "y")))
         assert g.part_u == ("a",) and g.part_w == ("x", "y")
         assert g.edges == (("a", "x"), ("a", "y"))
 
     def test_edge_inside_part_named(self):
         with pytest.raises(BipartiteError) as exc:
-            validate_bipartite(["a", "b"], ["x"], [("a", "b")])
+            BipartiteGraph(("a", "b"), ("x",), (("a", "b"),))
         assert "edge inside part U: ('a', 'b')" in str(exc.value)
 
     def test_label_in_both_parts_named(self):
         with pytest.raises(BipartiteError) as exc:
-            validate_bipartite(["z", "a"], ["z"], [])
+            BipartiteGraph(("z", "a"), ("z",), ())
         assert "label in both parts: 'z'" in str(exc.value)
 
     def test_duplicate_label_in_part(self):
         with pytest.raises(BipartiteError, match="duplicate label in part W"):
-            validate_bipartite(["a"], ["x", "x"], [])
+            BipartiteGraph(("a",), ("x", "x"), ())
 
     def test_all_violations_listed(self):
         with pytest.raises(BipartiteError) as exc:
-            validate_bipartite(["a", "b"], ["a", "x"], [("a", "b"), ("q", "x")])
+            BipartiteGraph(("a", "b"), ("a", "x"), (("a", "b"), ("q", "x")))
         joined = "; ".join(exc.value.violations)
         assert "label in both parts: 'a'" in joined
         assert "'q'" in joined
         assert len(exc.value.violations) >= 2
 
     def test_edge_orientation_normalized(self):
-        g = validate_bipartite(["a"], ["x"], [("x", "a")])
+        g = BipartiteGraph(("a",), ("x",), (("x", "a"),))
         assert g.edges == (("a", "x"),)
 
     def test_label_that_does_not_encode_rejected(self):

@@ -1,10 +1,14 @@
-"""The benchmark's tracer must still find every name it wraps."""
+"""Checks on the repository's tooling and documents: the benchmark's tracer
+must still find every name it wraps, and README's library example must still
+print what it says."""
 
 import importlib
 import importlib.util
+import io
 import json
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 from circgraph.constructions import triangular
@@ -12,6 +16,7 @@ from circgraph.fileio import dumps_obj, payload_to_obj
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 WORKER_PATH = SPANS_PATH.parent / "worker.py"
+README_PATH = SPANS_PATH.parent.parent / "README.md"
 
 
 def test_every_traced_name_resolves():
@@ -50,3 +55,16 @@ def test_traced_layers_are_still_called(tmp_path):
     assert metrics["census.families"] == 7
     assert metrics["census.classes"] == 3
     assert metrics["graphs.all_pairs_distances.ms"] > 0
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    # Every comment in the block is one line of its output, in order.
+    library = README_PATH.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [
+        tok.string.removeprefix("#").strip()
+        for tok in tokenize.generate_tokens(io.StringIO(code).readline)
+        if tok.type == tokenize.COMMENT
+    ]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
