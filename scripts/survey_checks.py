@@ -2,9 +2,10 @@
 """Sweep every structural check across the named families and the censuses.
 
 Usage:
-    python scripts/survey_checks.py [--max-triangular N] [--max-star N]
-                                     [--census-max U] [--trees-max N]
+    python scripts/survey_checks.py
 
+Surveys the stars on 4 to 20 vertices, triangular(3) to triangular(12), the
+circular censuses for 3 to 6 points and the tree census up to 10 vertices.
 Prints one row per graph with its classification, the status of each check,
 the measured diameter/radius and the milliseconds spent in `classify` plus
 `run_all_checks`, then a summary line with the total time. A census graph
@@ -15,7 +16,6 @@ quick full-corpus verification.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 
@@ -30,34 +30,32 @@ from circgraph import (
 )
 from circgraph.circular import CheckStatus
 
+MAX_STAR = 20
+MAX_TRIANGULAR = 12
+CENSUS_MAX = 6
+TREES_MAX = 10
 
-def survey_rows(args):
-    for n in range(4, args.max_star + 1):
+
+def survey_rows():
+    for n in range(4, MAX_STAR + 1):
         yield f"star({n})", star(n)
-    for n in range(3, args.max_triangular + 1):
+    for n in range(3, MAX_TRIANGULAR + 1):
         yield f"triangular({n})", triangular(n)
-    for u in range(3, args.census_max + 1):
+    for u in range(3, CENSUS_MAX + 1):
         for i, entry in enumerate(enumerate_circular(u)):
             yield f"census(u={u})#{i}", entry.graph
-    for i, entry in enumerate(enumerate_circular_trees(args.trees_max)):
+    for i, entry in enumerate(enumerate_circular_trees(TREES_MAX)):
         yield f"tree-census#{i}", entry.graph
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-triangular", type=int, default=8)
-    parser.add_argument("--max-star", type=int, default=10)
-    parser.add_argument("--census-max", type=int, default=6)
-    parser.add_argument("--trees-max", type=int, default=9)
-    args = parser.parse_args()
-
     header = f"{'graph':<18} {'verdict':<22} {'checks':<28} {'diam':>4} {'rad':>4} {'ms':>8}"
     print(header)
     print("-" * len(header))
     failed = 0
     total = 0
     total_ms = 0.0
-    for name, g in survey_rows(args):
+    for name, g in survey_rows():
         started = time.perf_counter()
         cls = classify(g)
         reports = run_all_checks(g)

@@ -83,7 +83,7 @@ class IsoCertificate:
     """Isomorphism decision; the mapping is present iff isomorphic.
 
     Any returned mapping has been replayed edge-by-edge against both graphs
-    before this object is handed out.
+    before this object is handed out. The field names are report keys.
     """
 
     isomorphic: bool

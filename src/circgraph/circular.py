@@ -51,7 +51,10 @@ class CheckStatus(str, Enum):
 
 @dataclass(frozen=True)
 class Violation:
-    """Replayable counterexample: re-evaluating `vertices` reproduces `detail`."""
+    """Replayable counterexample: re-evaluating `vertices` reproduces `detail`.
+
+    The field names are report keys.
+    """
 
     kind: ViolationKind
     vertices: tuple[str, ...]
@@ -60,6 +63,8 @@ class Violation:
 
 @dataclass(frozen=True)
 class CircularClassification:
+    """Verdict of `classify` with its witness; the field names are report keys."""
+
     verdict: Verdict
     witness: Optional[Violation]
     triple_axiom_vacuous: bool
@@ -75,7 +80,7 @@ class CheckReport:
     """Outcome of one structural check with its measured evidence.
 
     A Fail always carries a replayable counterexample; NotApplicable carries
-    the gating reason inside evidence.
+    the gating reason inside evidence. The field names are report keys.
     """
 
     check: str

@@ -17,7 +17,6 @@ from .graphs import (
     Graph,
     GraphError,
     _label_problems,
-    as_simple,
     fresh_label,
     induced_subgraph,
 )
@@ -118,16 +117,14 @@ def neighborhood_graph(g: Graph) -> BipartiteGraph:
     original vertex even when two vertices share the same neighbor set.
     Rejects graphs with isolated vertices, whose open neighborhood is empty.
     """
-    base = as_simple(g)
-    for v in base.vertices:
-        if not base.adjacency[v]:
+    idx = g.index
+    for v, m in zip(idx.labels, idx.masks):
+        if not m:
             raise GraphError(f"isolated vertex has an empty open neighborhood: {v!r}")
-    used = set(base.vertices)
-    tag = {v: fresh_label(f"N({v})", used) for v in base.vertices}
-    edges = tuple(
-        (u, tag[v]) for v in base.vertices for u in sorted(base.adjacency[v])
-    )
-    return BipartiteGraph(base.vertices, tuple(tag[v] for v in base.vertices), edges)
+    used = set(idx.labels)
+    tag = tuple(fresh_label(f"N({v})", used) for v in idx.labels)
+    edges = tuple((u, t) for t, m in zip(tag, idx.masks) for u in idx.labels_of(m))
+    return BipartiteGraph(idx.labels, tag, edges)
 
 
 def derive_linear(g: BipartiteGraph, pivot: str) -> BipartiteGraph:

@@ -9,12 +9,19 @@ Three input schemas, selected by the "format" field:
 Emission is byte-stable: sorted keys, two-space indent, lexicographic vertex
 and edge order, a single trailing newline, and no timestamps. DOT output is
 export-only.
+
+A report object is its value's fields, written by `jsonify`: the field names
+of `CircularClassification`, `Violation`, `CheckReport` and `IsoCertificate`
+are report keys. Enums become their values, tuples become lists, and
+`UNREACHABLE` becomes "unreachable".
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields, is_dataclass
+from enum import Enum
 from typing import Any, Callable, Union
 
 from . import __version__
@@ -105,10 +112,9 @@ def parse_payload(text: str) -> Payload:
 
 def coerce_bipartite(payload: Payload) -> BipartiteGraph:
     """Bipartite view of a payload; designs become their incidence graph."""
-    if isinstance(payload, Design):
-        return from_design(payload)
-    if isinstance(payload, BipartiteGraph):
-        return payload
+    g = coerce_graph(payload)
+    if isinstance(g, BipartiteGraph):
+        return g
     raise GraphError(
         "a bipartite graph is required: provide a bigraph-v1 or design-v1 file"
     )
@@ -153,9 +159,12 @@ def sha256_digest(text: str) -> str:
 def jsonify(value: Any) -> Any:
     """Recursively convert report values into plain JSON data.
 
-    The str-backed enums pass through as their value strings; the
-    unreachable-distance sentinel becomes the string "unreachable".
+    A report object is its value's fields: a dataclass value becomes an
+    object keyed by its field names. Enums become their values, tuples become
+    lists, and the unreachable-distance sentinel becomes "unreachable".
     """
+    if isinstance(value, Enum):
+        return value.value
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if value is UNREACHABLE:
@@ -164,34 +173,9 @@ def jsonify(value: Any) -> Any:
         return [jsonify(x) for x in value]
     if isinstance(value, dict):
         return {str(k): jsonify(v) for k, v in value.items()}
+    if is_dataclass(value):
+        return {f.name: jsonify(getattr(value, f.name)) for f in fields(value)}
     raise TypeError(f"value is not serializable into a report: {value!r}")
-
-
-def classification_to_obj(cls: CircularClassification) -> dict:
-    witness = None
-    if cls.witness is not None:
-        witness = {
-            "kind": cls.witness.kind.value,
-            "vertices": list(cls.witness.vertices),
-            "detail": cls.witness.detail,
-        }
-    return {
-        "verdict": cls.verdict.value,
-        "witness": witness,
-        "triple_axiom_vacuous": cls.triple_axiom_vacuous,
-        "note": cls.note,
-    }
-
-
-def check_to_obj(report: CheckReport) -> dict:
-    return {
-        "check": report.check,
-        "status": report.status.value,
-        "evidence": jsonify(report.evidence),
-        "counterexample": (
-            list(report.counterexample) if report.counterexample is not None else None
-        ),
-    }
 
 
 def entry_to_obj(entry: CensusEntry) -> dict:
@@ -224,19 +208,16 @@ def report_obj(
         "input_digest": input_digest,
     }
     if cls is not None:
-        obj["classification"] = classification_to_obj(cls)
+        obj["classification"] = jsonify(cls)
     if checks:
-        obj["checks"] = [check_to_obj(r) for r in checks]
+        obj["checks"] = jsonify(checks)
     if census is not None:
         obj["census"] = [entry_to_obj(e) for e in census]
     return obj
 
 
 def certificate_to_obj(cert: IsoCertificate) -> dict:
-    return {
-        "isomorphic": cert.isomorphic,
-        "mapping": None if cert.mapping is None else dict(sorted(cert.mapping.items())),
-    }
+    return jsonify(cert)
 
 
 def _dot_quote(label: str) -> str:

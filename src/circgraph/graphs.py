@@ -186,12 +186,6 @@ class _Indexed:
                 points |= 1 << position[u]
         return GraphIndex(labels, position, tuple(masks), points)
 
-    @cached_property
-    def adjacency(self) -> dict[str, frozenset[str]]:
-        """Neighbor labels of every vertex, for callers that work in labels."""
-        idx = self.index
-        return {v: frozenset(idx.labels_of(m)) for v, m in zip(idx.labels, idx.masks)}
-
     def neighbors(self, v: str) -> frozenset[str]:
         idx = self.index
         return frozenset(idx.labels_of(idx.masks[idx.at(v)]))

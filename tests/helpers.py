@@ -58,6 +58,21 @@ def oracle_components(g):
     return sorted(comps)
 
 
+def oracle_neighborhood_graph(g):
+    """(part_u, part_w, edges) of the open-neighborhood graph, each sorted,
+    by raw loops over g.edges: u meets N(v) when {u, v} is an edge. No
+    label of g may look like N(...), since no tag gets a suffix here."""
+    part_u = sorted(g.vertex_labels)
+    edges = []
+    for v in part_u:
+        for a, b in g.edges:
+            if a == v:
+                edges.append((b, f"N({v})"))
+            elif b == v:
+                edges.append((a, f"N({v})"))
+    return part_u, sorted(f"N({v})" for v in part_u), sorted(edges)
+
+
 def oracle_isomorphic(g1, g2):
     """Permutation search; only for graphs with at most ~7 vertices."""
     v1, v2 = sorted(g1.vertex_labels), sorted(g2.vertex_labels)

@@ -36,11 +36,11 @@ from strategies import simple_graphs
 def rebuild_bits(g, form):
     """Re-read the input adjacency in canonical order; must reproduce bits."""
     pos_to_label = {pos: lab for lab, pos in form.relabeling.items()}
-    adj = g.adjacency
+    edges = {frozenset(e) for e in g.edges}
     out = []
     for i in range(form.n):
         for j in range(i + 1, form.n):
-            out.append("1" if pos_to_label[j] in adj[pos_to_label[i]] else "0")
+            out.append("1" if frozenset((pos_to_label[i], pos_to_label[j])) in edges else "0")
     return "".join(out)
 
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circgraph import circular, cli
+from circgraph import __version__, circular, cli
+from circgraph.circular import CircularClassification, Verdict
 from circgraph.cli import main
 from circgraph.constructions import neighborhood_graph, star, triangular
 from circgraph.fileio import coerce_bipartite, dumps_obj, parse_payload, payload_to_obj
@@ -366,6 +367,140 @@ class TestPinnedOutput:
         _, built, _ = run_cli(["build", "triangular", "7"], capsys)
         monkeypatch.setattr("sys.stdin", io.StringIO(built))
         self.assert_pinned("build triangular 7 | verify -", ["verify", "-"], capsys)
+
+
+class TestPinnedReportObjects:
+    """Whole report objects, key for key: the JSON schema of the
+    classification, each check and the isomorphism certificate."""
+
+    @staticmethod
+    def report(text, **fields):
+        return {
+            "format": "report-v1",
+            "tool": {"name": "circgraph", "version": __version__},
+            "input_digest": "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            **fields,
+        }
+
+    @pytest.mark.parametrize(
+        "payload, classification",
+        [
+            (
+                {"format": "design-v1", "points": ["1", "2", "3", "4"], "blocks": [["1", "2", "3"]]},
+                {
+                    "verdict": "NotCircular",
+                    "witness": {"kind": "TripleUncovered", "vertices": ["1", "2", "4"], "detail": 0},
+                    "triple_axiom_vacuous": False,
+                    "note": None,
+                },
+            ),
+            (
+                {
+                    "format": "design-v1",
+                    "points": ["1", "2", "3", "4"],
+                    "blocks": [["1", "2", "3"], ["1", "2", "3", "4"]],
+                },
+                {
+                    "verdict": "NotCircular",
+                    "witness": {"kind": "TripleOvercovered", "vertices": ["1", "2", "3"], "detail": 2},
+                    "triple_axiom_vacuous": False,
+                    "note": None,
+                },
+            ),
+            (
+                {"format": "bigraph-v1", "u": ["a"], "w": ["w"], "edges": [["a", "w"]]},
+                {
+                    "verdict": "NotCircular",
+                    "witness": {"kind": "CircleDegreeTooSmall", "vertices": ["w"], "detail": 1},
+                    "triple_axiom_vacuous": True,
+                    "note": (
+                        "part U has a single point: nominally the trivial case, "
+                        "but no circle can reach degree 3; classified not circular"
+                    ),
+                },
+            ),
+            (
+                {"format": "bigraph-v1", "u": ["a", "b"], "w": [], "edges": []},
+                {
+                    "verdict": "NotCircular",
+                    "witness": {"kind": "PartError", "vertices": [], "detail": None},
+                    "triple_axiom_vacuous": True,
+                    "note": "no circles and at most two points: nothing models a circular space",
+                },
+            ),
+        ],
+        ids=["triple-uncovered", "triple-overcovered", "circle-degree", "part-error"],
+    )
+    def test_check_witness(self, payload, classification, capsys, monkeypatch):
+        text = dumps_obj(payload)
+        code, out, _ = run_cli(["check", "-"], capsys, monkeypatch, stdin_text=text)
+        assert code == 1
+        assert json.loads(out) == self.report(text, classification=classification)
+
+    def test_failing_checks_with_counterexamples(self, capsys, monkeypatch):
+        # The six-cycle plus an isolated point, forced non-trivial as in
+        # TestDistanceProfileFailures, so every check runs and three fail.
+        forced = CircularClassification(Verdict.NON_TRIVIAL_CIRCULAR, None, False)
+        monkeypatch.setattr(circular, "classify", lambda g: forced)
+        monkeypatch.setattr(cli, "classify", lambda g: forced)
+        obj = json.loads(C6_FILE)
+        obj["u"].append("u4")
+        text = dumps_obj(obj)
+        code, out, _ = run_cli(["verify", "-"], capsys, monkeypatch, stdin_text=text)
+        assert code == 1
+        assert json.loads(out) == self.report(
+            text,
+            classification={
+                "verdict": "NonTrivialCircular",
+                "witness": None,
+                "triple_axiom_vacuous": False,
+                "note": None,
+            },
+            checks=[
+                {
+                    "check": "w_pair_bound",
+                    "status": "Pass",
+                    "evidence": {"max_cn": 1, "max_pair": ["w1", "w2"], "pair_count": 3},
+                    "counterexample": None,
+                },
+                {
+                    "check": "point_degrees",
+                    "status": "Fail",
+                    "evidence": {"min_degree": 0, "vertex": "u4"},
+                    "counterexample": ["u4"],
+                },
+                {
+                    "check": "distance_profile",
+                    "status": "Fail",
+                    "evidence": {
+                        "u_pair_distances": [2, "unreachable"],
+                        "w_pair_distances": [2],
+                        "u_w_distances": [1, 3, "unreachable"],
+                    },
+                    "counterexample": ["u1", "u4"],
+                },
+                {
+                    "check": "metric_bounds",
+                    "status": "Fail",
+                    "evidence": {
+                        "diameter": "unreachable",
+                        "radius": "unreachable",
+                        "connected": False,
+                        "case": "non-trivial",
+                    },
+                    "counterexample": None,
+                },
+            ],
+        )
+
+    def test_non_isomorphic_certificate(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        a.write_text(dumps_obj(payload_to_obj(star(4))))
+        b = tmp_path / "b.json"
+        b.write_text(dumps_obj(payload_to_obj(star(5))))
+        code, out, _ = run_cli(["iso", str(a), str(b)], capsys)
+        assert code == 1
+        assert out == '{\n  "isomorphic": false,\n  "mapping": null\n}\n'
 
 
 class TestExport:

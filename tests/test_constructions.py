@@ -1,9 +1,11 @@
 """Named graphs, designs, neighborhood doubling, and pivot deletion."""
 
 from math import comb
+import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circgraph.canonical import are_isomorphic
 from circgraph.circular import CheckStatus, Verdict, check_linear_axioms, classify
@@ -26,7 +28,8 @@ from circgraph.graphs import (
     metric_summary,
 )
 
-from strategies import nonempty_simple_graphs
+from helpers import oracle_neighborhood_graph
+from strategies import bipartite_graphs, nonempty_simple_graphs, simple_graphs
 
 
 def complete_graph(labels):
@@ -121,11 +124,25 @@ class TestNeighborhoodGraph:
     @settings(max_examples=40)
     @given(nonempty_simple_graphs(max_n=6))
     def test_doubling_counts(self, g):
-        if any(not g.adjacency[v] for v in g.vertices):
+        if any(not g.neighbors(v) for v in g.vertices):
             return
         ng = neighborhood_graph(g)
         assert len(ng.vertex_labels) == 2 * len(g.vertices)
         assert len(ng.edges) == 2 * len(g.edges)
+
+    @settings(max_examples=80)
+    @given(st.one_of(simple_graphs(), bipartite_graphs()))
+    def test_matches_raw_loop_oracle(self, g):
+        isolated = sorted(set(g.vertex_labels) - {v for e in g.edges for v in e})
+        if isolated:
+            with pytest.raises(GraphError, match=re.escape(repr(isolated[0]))):
+                neighborhood_graph(g)
+            return
+        ng = neighborhood_graph(g)
+        part_u, part_w, edges = oracle_neighborhood_graph(g)
+        assert list(ng.part_u) == part_u
+        assert list(ng.part_w) == part_w
+        assert list(ng.edges) == edges
 
     @pytest.mark.parametrize("build", [lambda: star(4), lambda: star(6), lambda: triangular(4), lambda: triangular(5)])
     def test_doubles_every_circular_graph(self, build):

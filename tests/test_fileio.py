@@ -8,8 +8,6 @@ from circgraph.circular import classify, run_all_checks
 from circgraph.constructions import Design, star, triangular
 from circgraph.fileio import (
     FileFormatError,
-    classification_to_obj,
-    check_to_obj,
     dumps_obj,
     jsonify,
     parse_payload,
@@ -112,8 +110,8 @@ class TestJsonify:
         cls = classify(g)
         blob = dumps_obj(
             {
-                "classification": classification_to_obj(cls),
-                "checks": [check_to_obj(r) for r in run_all_checks(g)],
+                "classification": jsonify(cls),
+                "checks": jsonify(run_all_checks(g)),
             }
         )
         parsed = json.loads(blob)
