@@ -49,6 +49,15 @@ vertex on edgeless graphs, is bounded by memory, not by the recursion limit.
 
 `are_isomorphic` compares sorted degree sequences (per part when
 part-respecting) before any labeling, and replays every mapping it returns.
+Past that check it labels the first graph with `canonical_form` and searches
+the second with the first graph's rows as a target: the search stops as
+soon as a leaf becomes the best with rows at most the target (McKay &
+Piperno's two-graph test). Up to that leaf it visits the same leaves in the
+same order, with the same pruning, as the full search. When the graphs are
+isomorphic the target is the second graph's least value, so the leaf that
+stops the search is its first least leaf, the one the full search returns,
+and the mapping is the one two full labelings would compose. A leaf below
+the target, or a search that ends above it, proves them not isomorphic.
 """
 
 from __future__ import annotations
@@ -205,8 +214,15 @@ def _search(
     nbrs: tuple[tuple[int, ...], ...],
     twins: list[tuple[int, int]],
     cells: list[list[int]],
+    target: Optional[tuple[int, ...]] = None,
 ) -> tuple[tuple[int, ...], list[int]]:
-    """Rows and vertex order of the first least leaf in depth-first order."""
+    """Rows and vertex order of the first least leaf in depth-first order.
+
+    With a `target`, the search returns as soon as a leaf becomes the best
+    with rows <= target. Every leaf before it is greater than the target,
+    so when the target is the least value this leaf is still the first least
+    leaf: the search only skips the leaves after the winner.
+    """
     # Depth first on an explicit stack of suspended nodes, so the depth is
     # bounded by memory rather than by the interpreter's recursion limit.
     n = len(nbrs)
@@ -231,6 +247,8 @@ def _search(
             rows = tuple(sum([bit[u] for u in nbrs[v]]) & (bit[v] - 1) for v in order[:-1])
             if not best_order or rows < best:
                 best, best_order = rows, order
+                if target is not None and rows <= target:
+                    return best, best_order
             elif rows == best and len(gens) < 64:
                 perm = [0] * n
                 for a, b in zip(best_order, order):
@@ -256,6 +274,17 @@ def _initial_cells(g: Graph, respect_parts: bool) -> list[list[int]]:
     return [list(range(len(idx.labels)))]
 
 
+def _label(
+    g: Graph, respect_parts: bool, target: Optional[tuple[int, ...]] = None
+) -> tuple[tuple[int, ...], list[int]]:
+    """`_search` over the positions of `g`, from its refined initial cells."""
+    cells = _initial_cells(g, respect_parts)
+    masks = g.index.masks
+    # Tuples: reading bits(mask) inside the refinement loop was slower on dense graphs.
+    nbrs = tuple(tuple(bits(m)) for m in masks)
+    return _search(nbrs, _twin_keys(masks), _refine(nbrs, [c for c in cells if c]), target)
+
+
 def canonical_form(g: Graph, respect_parts: bool = False) -> CanonicalForm:
     """Canonical form of a graph, invariant under relabeling.
 
@@ -263,16 +292,23 @@ def canonical_form(g: Graph, respect_parts: bool = False) -> CanonicalForm:
     part-preserving relabelings are factored out; point vertices occupy the
     leading canonical positions.
     """
-    cells = _initial_cells(g, respect_parts)
+    rows, order = _label(g, respect_parts)
     idx = g.index
     n = len(idx.labels)
-    # Tuples: reading bits(mask) inside the refinement loop was slower on dense graphs.
-    nbrs = tuple(tuple(bits(m)) for m in idx.masks)
-    u_size = len(cells[0]) if respect_parts else None
-    rows, order = _search(nbrs, _twin_keys(idx.masks), _refine(nbrs, [c for c in cells if c]))
+    u_size = idx.points.bit_count() if respect_parts else None
     relabeling = {idx.labels[v]: i for i, v in enumerate(order)}
     bit_string = "".join(format(r, f"0{n - 1 - i}b") for i, r in enumerate(rows))
     return CanonicalForm(n, u_size, bit_string, relabeling)
+
+
+def _rows(form: CanonicalForm) -> tuple[int, ...]:
+    """The row integers that `form.bits` spells out, row i in n-1-i bits."""
+    rows = []
+    start = 0
+    for width in range(form.n - 1, 0, -1):
+        rows.append(int(form.bits[start : start + width], 2))
+        start += width
+    return tuple(rows)
 
 
 def _verify_mapping(
@@ -297,7 +333,8 @@ def are_isomorphic(g1: Graph, g2: Graph, respect_parts: bool = False) -> IsoCert
 
     Graphs whose sorted degree sequences differ (per part in part-respecting
     mode), and so also their vertex or edge counts, are rejected before any
-    canonical labeling.
+    canonical labeling. Otherwise g1 gets its canonical form and g2 is
+    searched only until a leaf reaches g1's rows or falls below them.
     """
 
     def degrees(g: Graph) -> list[list[int]]:
@@ -308,10 +345,11 @@ def are_isomorphic(g1: Graph, g2: Graph, respect_parts: bool = False) -> IsoCert
     if degrees(g1) != degrees(g2):
         return IsoCertificate(False, None)
     f1 = canonical_form(g1, respect_parts)
-    f2 = canonical_form(g2, respect_parts)
-    if f1.key != f2.key:
+    target = _rows(f1)
+    rows, order = _label(g2, respect_parts, target)
+    if rows != target:
         return IsoCertificate(False, None)
-    pos_to_label = {pos: lab for lab, pos in f2.relabeling.items()}
-    mapping = {lab: pos_to_label[pos] for lab, pos in f1.relabeling.items()}
+    labels2 = g2.index.labels
+    mapping = {lab: labels2[order[pos]] for lab, pos in f1.relabeling.items()}
     _verify_mapping(g1, g2, mapping, respect_parts)
     return IsoCertificate(True, mapping)

@@ -9,6 +9,7 @@ from collections import deque
 from itertools import combinations, permutations
 import random
 
+from circgraph.canonical import IsoCertificate, canonical_form
 from circgraph.circular import CircularClassification, Verdict, Violation, ViolationKind
 from circgraph.graphs import UNREACHABLE, BipartiteGraph, SimpleGraph
 
@@ -103,6 +104,18 @@ def oracle_part_isomorphic(g1, g2):
             if {(mapping[a], mapping[b]) for a, b in g1.edges} == e2:
                 return True
     return False
+
+
+def reference_are_isomorphic(g1, g2, respect_parts=False):
+    """Isomorphism by two full canonical labelings: isomorphic when the keys
+    agree, the mapping composed through both relabelings. The reference for
+    `are_isomorphic`, whose second labeling stops at its first least leaf."""
+    f1 = canonical_form(g1, respect_parts)
+    f2 = canonical_form(g2, respect_parts)
+    if f1.key != f2.key:
+        return IsoCertificate(False, None)
+    pos_to_label = {pos: lab for lab, pos in f2.relabeling.items()}
+    return IsoCertificate(True, {lab: pos_to_label[pos] for lab, pos in f1.relabeling.items()})
 
 
 def brute_force_classify(g: BipartiteGraph) -> CircularClassification:

@@ -23,6 +23,7 @@ from helpers import (
     oracle_part_isomorphic,
     paley,
     random_bipartite,
+    reference_are_isomorphic,
     reference_in_explored_orbit,
     reference_individualize,
     reference_refine,
@@ -30,7 +31,7 @@ from helpers import (
     rook4,
     shrikhande,
 )
-from strategies import simple_graphs
+from strategies import bipartite_graphs, simple_graphs
 
 
 def rebuild_bits(g, form):
@@ -173,6 +174,62 @@ class TestAreIsomorphic:
         assert cert.isomorphic
         mapped = {frozenset((cert.mapping[a], cert.mapping[b])) for a, b in g.edges}
         assert mapped == {frozenset(e) for e in h.edges}
+
+
+def assert_matches_reference(g1, g2, respect_parts=False):
+    """Same flag and mapping as two full labelings, in both argument orders."""
+    for a, b in ((g1, g2), (g2, g1)):
+        got = are_isomorphic(a, b, respect_parts)
+        want = reference_are_isomorphic(a, b, respect_parts)
+        assert (got.isomorphic, got.mapping) == (want.isomorphic, want.mapping)
+
+
+def named_iso_pairs():
+    rng = random.Random(13)
+    pairs = {}
+    for n in range(6, 10):
+        g = triangular(n)
+        pairs[f"triangular{n}-relabeled"] = (g, relabeled(g, rng)[0])
+    pairs["cfi-k4-untwisted-twisted"] = (cfi_k4(False), cfi_k4(True))
+    pairs["cfi-k4-relabeled"] = (cfi_k4(True), relabeled(cfi_k4(True), rng)[0])
+    pairs["shrikhande-rook4"] = (shrikhande(), rook4())
+    pairs["empty"] = (BipartiteGraph((), (), ()), BipartiteGraph((), (), ()))
+    pairs["one-point"] = (BipartiteGraph(("a",), (), ()), BipartiteGraph(("b",), (), ()))
+    pairs["point-circle"] = (BipartiteGraph(("a",), (), ()), BipartiteGraph((), ("a",), ()))
+    return pairs
+
+
+class TestTargetedSearchEquivalence:
+    """`are_isomorphic` labels its second graph with a search that stops at
+    the first leaf reaching the first graph's rows; its certificates equal
+    those of two full labelings (`helpers.reference_are_isomorphic`)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(simple_graphs(max_n=7), simple_graphs(max_n=7))
+    def test_simple_pairs(self, g1, g2):
+        assert_matches_reference(g1, g2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(simple_graphs(max_n=8), st.randoms(use_true_random=False))
+    def test_simple_relabelings(self, g, rng):
+        assert_matches_reference(g, relabeled(g, rng)[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(bipartite_graphs(), bipartite_graphs(), st.booleans())
+    def test_bipartite_pairs(self, g1, g2, respect_parts):
+        assert_matches_reference(g1, g2, respect_parts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bipartite_graphs(), st.randoms(use_true_random=False), st.booleans())
+    def test_bipartite_relabelings(self, g, rng, respect_parts):
+        assert_matches_reference(g, relabeled(g, rng)[0], respect_parts)
+
+    @pytest.mark.parametrize("name", sorted(named_iso_pairs()))
+    def test_named_pairs(self, name):
+        g1, g2 = named_iso_pairs()[name]
+        assert_matches_reference(g1, g2)
+        if isinstance(g1, BipartiteGraph):
+            assert_matches_reference(g1, g2, respect_parts=True)
 
 
 class TestPruningNeutrality:
@@ -396,16 +453,18 @@ class TestNetworkxOracle:
 
 
 class TestCheapRejection:
-    """`are_isomorphic` rejects on degree sequences before canonical labeling."""
+    """`are_isomorphic` rejects on degree sequences before canonical labeling.
+    Labelings are counted as `_search` runs: the first graph's full search
+    and the second graph's targeted one."""
 
     @staticmethod
     def count_canonical_calls(monkeypatch):
         import circgraph.canonical as canonical_module
 
         calls = []
-        real = canonical_module.canonical_form
+        real = canonical_module._search
         monkeypatch.setattr(
-            canonical_module, "canonical_form", lambda *args: calls.append(args) or real(*args)
+            canonical_module, "_search", lambda *args: calls.append(args) or real(*args)
         )
         return calls
 
@@ -474,6 +533,25 @@ class TestSearchNodeCounts:
 
         monkeypatch.setattr(canonical_module, "_refine", counted)
         canonical_form(build(), respect_parts)
+        assert len(calls) == nodes
+
+    @pytest.mark.parametrize("n, nodes", [(8, 100), (9, 138), (10, 185)])
+    def test_are_isomorphic_node_count(self, monkeypatch, n, nodes):
+        # The first graph's full search (92, 129, 175 nodes) plus the second
+        # graph's first path: every leaf of triangular(n) equals the best.
+        import circgraph.canonical as canonical_module
+
+        g = triangular(n)
+        h, _ = relabeled(g, random.Random(n))
+        real = canonical_module._refine
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(canonical_module, "_refine", counted)
+        assert are_isomorphic(g, h, respect_parts=True).isomorphic
         assert len(calls) == nodes
 
 
