@@ -2,7 +2,10 @@
 
 Everything here recomputes facts from scratch (plain BFS, permutation
 search, raw loops) so library results are checked against code that shares
-no logic with the implementation under test.
+no logic with the implementation under test. The one exception is
+`reference_are_isomorphic`, which composes two of the library's full
+canonical labelings: the reference for the early-stopping second search of
+`are_isomorphic`.
 """
 
 from collections import deque
