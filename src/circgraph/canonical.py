@@ -21,7 +21,7 @@ wins. Leaves hold it as row integers (row i: positions i+1..n-1, i+1 most
 significant, so fixed-width rows compare as the string does), read off one
 per-vertex bit table: the vertex at position i is bit n-1-i, so a row is
 the sum of its neighbors' bits below its own. `_search` returns the first
-least leaf in depth-first order; only it is spelled out as `bits`.
+least leaf in depth-first order, and `CanonicalForm` keeps its rows.
 
 Cells never move past each other, so in part-respecting mode, which starts
 from the cells (points, circles), all point vertices come before all circle
@@ -63,6 +63,7 @@ the target, or a search that ends above it, proves them not isomorphic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .graphs import BipartiteGraph, Graph, GraphError, bits
@@ -72,6 +73,7 @@ from .graphs import BipartiteGraph, Graph, GraphError, bits
 class CanonicalForm:
     """Relabeling-invariant encoding; equal keys decide isomorphism.
 
+    `rows` are the winning leaf's; `bits` spells row i out in n-1-i bits.
     `relabeling` maps each original label to its canonical position, and
     reading the input adjacency in that order reproduces `bits` exactly.
     `u_size` is the point-part size in part-respecting mode, else None.
@@ -79,8 +81,12 @@ class CanonicalForm:
 
     n: int
     u_size: Optional[int]
-    bits: str
+    rows: tuple[int, ...]
     relabeling: Mapping[str, int]
+
+    @cached_property
+    def bits(self) -> str:
+        return "".join(format(r, f"0{self.n - 1 - i}b") for i, r in enumerate(self.rows))
 
     @property
     def key(self) -> tuple[int, Optional[int], str]:
@@ -293,22 +299,9 @@ def canonical_form(g: Graph, respect_parts: bool = False) -> CanonicalForm:
     leading canonical positions.
     """
     rows, order = _label(g, respect_parts)
-    idx = g.index
-    n = len(idx.labels)
-    u_size = idx.points.bit_count() if respect_parts else None
-    relabeling = {idx.labels[v]: i for i, v in enumerate(order)}
-    bit_string = "".join(format(r, f"0{n - 1 - i}b") for i, r in enumerate(rows))
-    return CanonicalForm(n, u_size, bit_string, relabeling)
-
-
-def _rows(form: CanonicalForm) -> tuple[int, ...]:
-    """The row integers that `form.bits` spells out, row i in n-1-i bits."""
-    rows = []
-    start = 0
-    for width in range(form.n - 1, 0, -1):
-        rows.append(int(form.bits[start : start + width], 2))
-        start += width
-    return tuple(rows)
+    labels = g.index.labels
+    u_size = g.index.points.bit_count() if respect_parts else None
+    return CanonicalForm(len(labels), u_size, rows, {labels[v]: i for i, v in enumerate(order)})
 
 
 def _verify_mapping(
@@ -345,11 +338,9 @@ def are_isomorphic(g1: Graph, g2: Graph, respect_parts: bool = False) -> IsoCert
     if degrees(g1) != degrees(g2):
         return IsoCertificate(False, None)
     f1 = canonical_form(g1, respect_parts)
-    target = _rows(f1)
-    rows, order = _label(g2, respect_parts, target)
-    if rows != target:
+    rows, order = _label(g2, respect_parts, f1.rows)
+    if rows != f1.rows:
         return IsoCertificate(False, None)
-    labels2 = g2.index.labels
-    mapping = {lab: labels2[order[pos]] for lab, pos in f1.relabeling.items()}
+    mapping = {lab: g2.index.labels[order[pos]] for lab, pos in f1.relabeling.items()}
     _verify_mapping(g1, g2, mapping, respect_parts)
     return IsoCertificate(True, mapping)

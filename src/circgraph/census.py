@@ -13,12 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, TypeVar
 
 from .canonical import CanonicalForm, canonical_form
 from .circular import Verdict, classify
 from .constructions import Design, from_design
 from .graphs import BipartiteGraph, Distance, GraphError, SimpleGraph, bfs_layers, metric_summary
+
+_G = TypeVar("_G", SimpleGraph, BipartiteGraph)
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,16 +56,23 @@ def _make_entry(g: BipartiteGraph, canonical: CanonicalForm) -> CensusEntry:
     )
 
 
-def _classes(candidates: Iterable[tuple[Any, BipartiteGraph]]) -> tuple[CensusEntry, ...]:
-    """An entry for the least-ranked (rank, graph) candidate of each
-    part-respecting isomorphism class, first seen on ties, in canonical order."""
-    winners: dict[tuple, tuple[Any, BipartiteGraph, CanonicalForm]] = {}
+def _winners(
+    candidates: Iterable[tuple[Any, _G]], respect_parts: bool
+) -> list[tuple[Any, _G, CanonicalForm]]:
+    """(rank, graph, form) of the least-ranked candidate of each isomorphism
+    class, first seen on ties, in canonical-key order."""
+    winners: dict[tuple, tuple[Any, _G, CanonicalForm]] = {}
     for rank, g in candidates:
-        canonical = canonical_form(g, respect_parts=True)
-        best = winners.get(canonical.key)
+        form = canonical_form(g, respect_parts)
+        best = winners.get(form.key)
         if best is None or rank < best[0]:
-            winners[canonical.key] = (rank, g, canonical)
-    return tuple(_make_entry(g, canonical) for _, (_, g, canonical) in sorted(winners.items()))
+            winners[form.key] = (rank, g, form)
+    return [winners[key] for key in sorted(winners)]
+
+
+def _classes(candidates: Iterable[tuple[Any, BipartiteGraph]]) -> tuple[CensusEntry, ...]:
+    """An entry for each part-respecting class winner of `_winners`."""
+    return tuple(_make_entry(g, form) for _, g, form in _winners(candidates, True))
 
 
 def _designs(points: tuple[str, ...]) -> Iterator[Design]:
@@ -118,15 +127,13 @@ def free_trees(n: int) -> tuple[SimpleGraph, ...]:
         raise GraphError(f"tree size must be between 1 and 12: got {n}")
     if n == 1:
         return (SimpleGraph(("v0",), ()),)
-    seen: dict[tuple, SimpleGraph] = {}
     new = f"v{n - 1}"
-    for t in free_trees(n - 1):
-        for v in t.vertices:
-            g = SimpleGraph(t.vertices + (new,), t.edges + ((v, new),))
-            key = canonical_form(g).key
-            if key not in seen:
-                seen[key] = g
-    return tuple(g for _, g in sorted(seen.items()))
+    grown = (
+        SimpleGraph(t.vertices + (new,), t.edges + ((v, new),))
+        for t in free_trees(n - 1)
+        for v in t.vertices
+    )
+    return tuple(g for _, g, _ in _winners(enumerate(grown), False))
 
 
 def enumerate_circular_trees(max_n: int) -> tuple[CensusEntry, ...]:

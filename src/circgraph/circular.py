@@ -79,8 +79,9 @@ class CircularClassification:
 class CheckReport:
     """Outcome of one structural check with its measured evidence.
 
-    A Fail always carries a replayable counterexample; NotApplicable carries
-    the gating reason inside evidence. The field names are report keys.
+    A Fail carries a counterexample when vertices witness it; metric_bounds
+    puts its measured diameter and radius in evidence instead. NotApplicable
+    carries the gating reason inside evidence. The field names are report keys.
     """
 
     check: str

@@ -121,6 +121,16 @@ def reference_are_isomorphic(g1, g2, respect_parts=False):
     return IsoCertificate(True, {lab: pos_to_label[pos] for lab, pos in f1.relabeling.items()})
 
 
+def reference_rows(form):
+    """The row integers that `form.bits` spells out, row i in n-1-i bits."""
+    rows = []
+    start = 0
+    for width in range(form.n - 1, 0, -1):
+        rows.append(int(form.bits[start : start + width], 2))
+        start += width
+    return tuple(rows)
+
+
 def brute_force_classify(g: BipartiteGraph) -> CircularClassification:
     """Recognition by the most naive loops possible; oracle for `classify`.
 

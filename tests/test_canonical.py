@@ -27,6 +27,7 @@ from helpers import (
     reference_in_explored_orbit,
     reference_individualize,
     reference_refine,
+    reference_rows,
     relabeled,
     rook4,
     shrikhande,
@@ -67,6 +68,20 @@ class TestCanonicalForm:
         for g in (as_simple(triangular(4)), as_simple(star(6))):
             form = canonical_form(g)
             assert rebuild_bits(g, form) == form.bits
+
+    @settings(max_examples=60)
+    @given(simple_graphs(max_n=8))
+    def test_bits_spell_out_the_rows(self, g):
+        form = canonical_form(g)
+        assert reference_rows(form) == form.rows
+        assert len(form.bits) == form.n * (form.n - 1) // 2
+
+    @settings(max_examples=60)
+    @given(bipartite_graphs())
+    def test_bits_spell_out_the_rows_part_respecting(self, g):
+        form = canonical_form(g, respect_parts=True)
+        assert reference_rows(form) == form.rows
+        assert len(form.bits) == form.n * (form.n - 1) // 2
 
     def test_c4_and_p4_differ(self):
         c4 = SimpleGraph(("a", "b", "c", "d"), (("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")))

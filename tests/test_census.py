@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from circgraph import census, circular
-from circgraph.canonical import are_isomorphic
+from circgraph.canonical import are_isomorphic, canonical_form
 from circgraph.census import (
     enumerate_circular,
     enumerate_circular_trees,
@@ -14,13 +14,13 @@ from circgraph.census import (
 )
 from circgraph.circular import CheckStatus, Verdict, classify, run_all_checks
 from circgraph.constructions import neighborhood_graph, star, triangular
-from circgraph.graphs import GraphError, disjoint_union, metric_summary
+from circgraph.graphs import BipartiteGraph, GraphError, SimpleGraph, disjoint_union, metric_summary
 
 from helpers import brute_force_classify, dumb_circular_families, random_bipartite
 from strategies import bipartite_graphs
 
 # Known free-tree counts, the independent anchor for the generator.
-FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47]
+FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
 
 
 class TestCircularCensus:
@@ -158,13 +158,56 @@ class TestCircularTrees:
             enumerate_circular_trees(11)
 
     def test_free_tree_counts_match_the_known_sequence(self):
-        assert [len(free_trees(n)) for n in range(1, 10)] == FREE_TREE_COUNTS
+        assert [len(free_trees(n)) for n in range(1, len(FREE_TREE_COUNTS) + 1)] == FREE_TREE_COUNTS
+
+    def test_free_trees_guard_rejected(self):
+        with pytest.raises(GraphError, match="between 1 and 12: got 0"):
+            free_trees(0)
+        with pytest.raises(GraphError, match="between 1 and 12: got 13"):
+            free_trees(13)
 
     def test_free_trees_are_trees(self):
         for n in range(1, 8):
             for t in free_trees(n):
                 assert len(t.vertices) == n
                 assert len(t.edges) == n - 1
+
+
+class TestWinners:
+    """The one rule that keeps a class winner, shared by both censuses and
+    `free_trees`."""
+
+    @staticmethod
+    def path(labels):
+        return SimpleGraph(tuple(labels), tuple(zip(labels, labels[1:])))
+
+    def test_least_rank_wins_first_seen_on_ties_in_key_order(self):
+        edge_a, edge_b = self.path("ab"), self.path("xy")
+        path_a, path_b = self.path("abc"), self.path("cab")
+        triangle = SimpleGraph(("a", "b", "c"), (("a", "b"), ("a", "c"), ("b", "c")))
+        candidates = [(9, triangle), (5, edge_a), (3, path_a), (2, edge_b), (3, path_b)]
+        winners = census._winners(candidates, False)
+        # A later, smaller rank replaces edge_a; path_b ties and keeps path_a.
+        assert [(rank, g) for rank, g, _ in winners] == sorted(
+            [(2, edge_b), (3, path_a), (9, triangle)],
+            key=lambda pair: canonical_form(pair[1]).key,
+        )
+        keys = [form.key for _, _, form in winners]
+        assert keys == sorted(keys)
+        for _, g, form in winners:
+            assert form.key == canonical_form(g).key
+
+    def test_respect_parts_separates_the_orientations(self):
+        # K_{1,2} with the centre as the point, and with the centre as the circle.
+        one_point = BipartiteGraph(("c",), ("l1", "l2"), (("c", "l1"), ("c", "l2")))
+        two_points = BipartiteGraph(("l1", "l2"), ("c",), (("c", "l1"), ("c", "l2")))
+        candidates = [(1, one_point), (0, two_points)]
+        assert [g for _, g, _ in census._winners(candidates, False)] == [two_points]
+        parted = census._winners(candidates, True)
+        assert {g for _, g, _ in parted} == {one_point, two_points}
+        assert [form.key for _, _, form in parted] == sorted(
+            canonical_form(g, respect_parts=True).key for g in (one_point, two_points)
+        )
 
 
 class TestBruteForceOracle:

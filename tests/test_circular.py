@@ -185,6 +185,19 @@ class TestWPairBound:
         assert report.status is CheckStatus.NOT_APPLICABLE
         assert "NotCircular" in report.evidence["reason"]
 
+    def test_fail_names_the_max_pair(self, monkeypatch):
+        # No circular graph reaches this branch: force the verdict, as
+        # TestDistanceProfileFailures does, on circles w2, w3 sharing three points.
+        forced = CircularClassification(Verdict.NON_TRIVIAL_CIRCULAR, None, False)
+        monkeypatch.setattr(circular, "classify", lambda g: forced)
+        circles = {"w1": "12", "w2": "1234", "w3": "234"}
+        edges = tuple((f"u{p}", w) for w, ps in circles.items() for p in ps)
+        g = BipartiteGraph(("u1", "u2", "u3", "u4"), tuple(circles), edges)
+        report = verify_w_pair_bound(g)
+        assert report.status is CheckStatus.FAIL
+        assert report.evidence == {"max_cn": 3, "pair_count": 3, "max_pair": ("w2", "w3")}
+        assert report.counterexample == ("w2", "w3")
+
 
 class TestPointDegrees:
     def test_triangular4(self):

@@ -281,6 +281,12 @@ class TestEnum:
         assert code == 2
         assert "--u" in err
 
+    def test_tree_census_without_max(self, capsys):
+        code, out, err = run_cli(["enum", "trees"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--max N is required for the tree census" in err
+
     def test_out_of_range(self, capsys):
         code, _, err = run_cli(["enum", "circular", "--u", "9"], capsys)
         assert code == 2

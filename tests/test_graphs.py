@@ -83,6 +83,14 @@ class TestConstruction:
         with pytest.raises(GraphError, match="UTF-8"):
             SimpleGraph(("\ud800", "b"), (("\ud800", "b"),))
 
+    def test_edge_that_is_not_a_pair_rejected(self):
+        with pytest.raises(GraphError, match=r"edge must be a pair of labels: \('a', 'b', 'c'\)"):
+            SimpleGraph(("a", "b", "c"), (("a", "b", "c"),))
+
+    def test_as_simple_is_identity_on_simple_graphs(self):
+        g = path_graph(["a", "b", "c"])
+        assert as_simple(g) is g
+
 
 class TestValidateBipartite:
     def test_valid_p3(self):
@@ -119,6 +127,21 @@ class TestValidateBipartite:
     def test_label_that_does_not_encode_rejected(self):
         with pytest.raises(BipartiteError, match="UTF-8"):
             BipartiteGraph(("a",), ("\ud800",), (("a", "\ud800"),))
+
+    def test_edge_that_is_not_a_pair_named(self):
+        with pytest.raises(BipartiteError) as exc:
+            BipartiteGraph(("a", "b"), ("c",), (("a", "b", "c"),))
+        assert exc.value.violations == ("edge must be a pair of labels: ('a', 'b', 'c')",)
+
+    def test_edge_inside_part_w_named(self):
+        with pytest.raises(BipartiteError) as exc:
+            BipartiteGraph(("a",), ("x", "y"), (("a", "x"), ("y", "x")))
+        assert exc.value.violations == ("edge inside part W: ('y', 'x')",)
+
+    def test_duplicate_edge_named_in_either_orientation(self):
+        with pytest.raises(BipartiteError) as exc:
+            BipartiteGraph(("a",), ("x",), (("a", "x"), ("x", "a")))
+        assert exc.value.violations == ("duplicate edge: ('a', 'x')",)
 
     def test_parts_stored_sorted(self):
         g = BipartiteGraph(("u2", "u1"), ("w",), (("u2", "w"), ("u1", "w")))
