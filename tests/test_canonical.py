@@ -512,8 +512,9 @@ class TestCheapRejection:
 class TestSearchNodeCounts:
     """The number of search nodes, counted as `_refine` calls: one for the
     root and one per child. Twin pruning leaves one child per node on
-    edgeless graphs and on the leaves of a star. On triangular(12) the
-    search keeps 64 automorphism generators, the cap."""
+    edgeless graphs and on the leaves of a star. Orbit pruning does the work
+    on the plain-mode Paley, strongly regular, CFI and triangular rows. On
+    triangular(12) the search keeps 64 automorphism generators, the cap."""
 
     @pytest.mark.parametrize(
         "build, respect_parts, nodes",
@@ -525,6 +526,12 @@ class TestSearchNodeCounts:
             (lambda: triangular(12), True, 298),
             (lambda: SimpleGraph(tuple(f"v{i}" for i in range(13)), ()), False, 13),
             (lambda: star(14), True, 13),
+            (lambda: paley(13), False, 11),
+            (shrikhande, False, 19),
+            (rook4, False, 39),
+            (lambda: cfi_k4(False), False, 41),
+            (lambda: cfi_k4(True), False, 51),
+            (lambda: as_simple(triangular(9)), False, 129),
         ],
         ids=[
             "triangular8-parts",
@@ -534,6 +541,12 @@ class TestSearchNodeCounts:
             "triangular12-parts",
             "isolated13",
             "star14-parts",
+            "paley13",
+            "shrikhande",
+            "rook4",
+            "cfi-k4",
+            "cfi-k4-twisted",
+            "triangular9",
         ],
     )
     def test_node_count(self, monkeypatch, build, respect_parts, nodes):
