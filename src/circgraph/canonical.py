@@ -32,14 +32,17 @@ Branches are pruned with automorphisms: a candidate in the same orbit as
 an already explored sibling, under the subgroup fixing the individualized
 prefix pointwise, contributes no new leaf values. Such an automorphism maps
 the node's partition, and so its target cell, onto itself. Two kinds are
-used. Twins, positions with the same open or the same closed neighbourhood,
-are swapped by an automorphism fixing every other position, so a candidate
-that is a twin of an explored sibling is skipped at once; each node keeps
-the twin keys of its explored candidates. Other automorphisms are
-discovered from equal-value leaves, each mapping the best order onto the
-leaf's (at most 64 kept); each node keeps one union-find over its target
-cell and feeds it, before each candidate, only the generators found since
-its last update. Neither pruning changes the winning leaf, as the search
+used, each read from one set per node. Twins, positions with the same open
+or the same closed neighbourhood, are swapped by an automorphism fixing
+every other position; each position has one twin class, and a candidate
+whose class is in `seen`, the classes of the explored candidates, is
+skipped at once. Other automorphisms are discovered from equal-value
+leaves, each mapping the best order onto the leaf's (at most 64 kept).
+`covered` is the closure of the explored candidates under the generators
+found so far that fix the prefix, which is their orbit union; before each
+candidate the node takes in only the generators found since its last look,
+closes `covered` again if any fix the prefix, and skips the candidate if
+it is covered. Neither pruning changes the winning leaf, as the search
 keeps the first least leaf in depth-first order.
 
 The search runs depth first on an explicit stack: each node on it is
@@ -148,47 +151,34 @@ def _refine(
         cells = out
 
 
-def _twin_keys(masks: Sequence[int]) -> list[tuple[int, int]]:
-    """Open and closed neighbourhood mask of each position.
+def _twin_classes(masks: Sequence[int]) -> list[int]:
+    """Class of each position: the first with the same open or closed neighbourhood.
 
-    Two positions are twins when one of the two keys coincides. An open key
-    never equals another position's closed key: that would put each of the
-    two in the other's neighbourhood and so one in its own.
+    One class per position suffices: no position v has both an open twin u
+    and a closed twin w. If it had, w would be adjacent to v and so to u;
+    then u would be in w's closed neighbourhood but not in v's. Nor does an
+    open neighbourhood equal another position's closed one, which would put
+    each of the two in the other's neighbourhood and so one in its own; so
+    both kinds share one dict.
     """
-    return [(m, m | 1 << v) for v, m in enumerate(masks)]
+    first: dict[int, int] = {}
+    return [first.setdefault(m, first.setdefault(m | 1 << v, v)) for v, m in enumerate(masks)]
 
 
-def _in_explored_orbit(
-    parent: dict[int, int],
-    fresh: list[tuple[int, ...]],
-    prefix: tuple[int, ...],
-    target: list[int],
-    explored: list[int],
-    v: int,
-) -> bool:
-    # A generator fixing the prefix maps the node's partition, and so the
-    # target cell, onto itself: the target's orbits never leave it.
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for p in fresh:
-        if all(p[x] == x for x in prefix):
-            for a in target:
-                ra, rb = find(a), find(p[a])
-                if ra != rb:
-                    parent[ra] = rb
-    rv = find(v)
-    return any(find(u) == rv for u in explored)
+def _close(covered: set[int], todo: list[int], gens: list[tuple[int, ...]]) -> None:
+    # Adds to `covered` every image of `todo` under products of `gens`.
+    while todo:
+        x = todo.pop()
+        for p in gens:
+            y = p[x]
+            if y not in covered:
+                covered.add(y)
+                todo.append(y)
 
 
 def _children(
     nbrs: tuple[tuple[int, ...], ...],
-    twins: list[tuple[int, int]],
+    twins: list[int],
     cells: list[list[int]],
     t: int,
     prefix: tuple[int, ...],
@@ -196,29 +186,34 @@ def _children(
 ) -> Iterator[tuple[list[list[int]], tuple[int, ...]]]:
     # One search node, suspended between its children: it yields each
     # unpruned child, and that child's subtree is complete when it resumes.
+    # `seen` holds the twin classes of the explored candidates and `covered`
+    # their orbits under `fixing`, the generators fixing the prefix pointwise.
     target = cells[t]
-    explored: list[int] = []
     seen: set[int] = set()
-    parent = {a: a for a in target}
+    covered: set[int] = set()
+    fixing: list[tuple[int, ...]] = []
     absorbed = 0
     for v in target:
-        open_key, closed_key = twins[v]
-        if open_key in seen or closed_key in seen:
+        if twins[v] in seen:
             continue
-        if explored:
-            fresh, absorbed = gens[absorbed:], len(gens)
-            if _in_explored_orbit(parent, fresh, prefix, target, explored, v):
+        if covered:
+            fresh = [p for p in gens[absorbed:] if all(p[x] == x for x in prefix)]
+            absorbed = len(gens)
+            if fresh:
+                fixing += fresh
+                _close(covered, list(covered), fixing)
+            if v in covered:
                 continue
         rest = [u for u in target if u != v]
         yield _refine(nbrs, cells[:t] + [[v], rest] + cells[t + 1 :], (v,)), prefix + (v,)
-        explored.append(v)
-        seen.add(open_key)
-        seen.add(closed_key)
+        seen.add(twins[v])
+        covered.add(v)
+        _close(covered, [v], fixing)
 
 
 def _search(
     nbrs: tuple[tuple[int, ...], ...],
-    twins: list[tuple[int, int]],
+    twins: list[int],
     cells: list[list[int]],
     target: Optional[tuple[int, ...]] = None,
 ) -> tuple[tuple[int, ...], list[int]]:
@@ -288,7 +283,7 @@ def _label(
     masks = g.index.masks
     # Tuples: reading bits(mask) inside the refinement loop was slower on dense graphs.
     nbrs = tuple(tuple(bits(m)) for m in masks)
-    return _search(nbrs, _twin_keys(masks), _refine(nbrs, [c for c in cells if c]), target)
+    return _search(nbrs, _twin_classes(masks), _refine(nbrs, [c for c in cells if c]), target)
 
 
 def canonical_form(g: Graph, respect_parts: bool = False) -> CanonicalForm:

@@ -250,7 +250,8 @@ class TestTargetedSearchEquivalence:
 class TestPruningNeutrality:
     def test_orbit_pruning_never_changes_the_winner(self, monkeypatch):
         # Ground truth: exhaustive branch exploration with both prunings
-        # disabled, the twin keys made distinct per vertex.
+        # disabled: `_close` does nothing, so `covered` holds only the
+        # explored candidates, and each position is its own twin class.
         import circgraph.canonical as canonical_module
         from circgraph.census import free_trees
 
@@ -276,29 +277,29 @@ class TestPruningNeutrality:
             ]
             graphs.append(SimpleGraph(tuple(labels), tuple(edges)))
 
+        real_refine = canonical_module._refine
+        refines = []
+
+        def counted(*args):
+            refines.append(None)
+            return real_refine(*args)
+
         def forms():
-            return [(f.key, f.relabeling) for f in map(canonical_form, graphs)]
+            refines.clear()
+            return [(f.key, f.relabeling) for f in map(canonical_form, graphs)], len(refines)
 
-        real = canonical_module._in_explored_orbit
-        verdicts = []
-
-        def recorded(*args):
-            verdicts.append(real(*args))
-            return verdicts[-1]
-
-        monkeypatch.setattr(canonical_module, "_in_explored_orbit", recorded)
-        pruned = forms()
-        assert True in verdicts  # the corpus does prune some branch
-        calls = []
+        monkeypatch.setattr(canonical_module, "_refine", counted)
+        pruned, pruned_nodes = forms()
+        monkeypatch.setattr(canonical_module, "_close", lambda covered, todo, gens: None)
+        orbits_off, orbits_off_nodes = forms()
         monkeypatch.setattr(
-            canonical_module, "_in_explored_orbit", lambda *args: calls.append(args) or False
+            canonical_module, "_twin_classes", lambda masks: list(range(len(masks)))
         )
-        monkeypatch.setattr(
-            canonical_module, "_twin_keys", lambda masks: [(v, v) for v in range(len(masks))]
-        )
-        exhaustive = forms()
-        assert calls
-        assert pruned == exhaustive
+        exhaustive, exhaustive_nodes = forms()
+        assert pruned == orbits_off == exhaustive
+        # Orbit pruning cuts branches that twin pruning leaves, and twin
+        # pruning alone cuts some too.
+        assert pruned_nodes < orbits_off_nodes < exhaustive_nodes
 
 
 class TestPartRespectingSoundness:
@@ -638,29 +639,51 @@ class TestDirtyCellRefinement:
 
 
 class TestTargetCellOrbits:
-    """`_in_explored_orbit` unions only over the target cell; its verdicts
-    equal those of a reference that unions over all n vertices."""
+    """Each call of `_close` leaves in `covered` exactly the orbit union of
+    what it held, as a reference that unions orbits over all n vertices from
+    scratch finds it. The generators it is given fix the node's prefix
+    pointwise, `covered` stays closed under every generator the node has
+    passed so far, and it stays inside the node's target cell."""
 
     def test_agrees_with_all_vertex_reference(self, monkeypatch):
         import circgraph.canonical as canonical_module
         from circgraph import census
         from circgraph.constructions import from_design
 
-        real = canonical_module._in_explored_orbit
-        # id(parent) -> (parent, the generators fed to it so far); holding
-        # each union-find keeps its id from being reused by a later node.
-        seen = {}
-        verdicts = []
+        real_children = canonical_module._children
+        real_close = canonical_module._close
+        # (prefix, target cell, generators passed to `_close` so far) of the
+        # node whose code is running.
+        running = []
+        calls = []
 
-        def compared(parent, fresh, prefix, target, explored, v):
-            _, gens = seen.setdefault(id(parent), (parent, []))
-            gens.extend(fresh)
-            verdict = real(parent, fresh, prefix, target, explored, v)
-            assert verdict == reference_in_explored_orbit(gens, prefix, explored, v)
-            verdicts.append(verdict)
-            return verdict
+        def tracked(nbrs, twins, cells, t, prefix, gens):
+            node = real_children(nbrs, twins, cells, t, prefix, gens)
+            passed = []
+            while True:
+                running.append((prefix, cells[t], passed))
+                child = next(node, None)
+                running.pop()
+                if child is None:
+                    return
+                yield child
 
-        monkeypatch.setattr(canonical_module, "_in_explored_orbit", compared)
+        def compared(covered, todo, gens):
+            prefix, target, passed = running[-1]
+            assert all(p[x] == x for p in gens for x in prefix)
+            passed += [p for p in gens if p not in passed]
+            before = set(covered)
+            real_close(covered, todo, gens)
+            domain = before.union(range(len(gens[0]))) if gens else before
+            assert covered == {
+                v for v in domain if reference_in_explored_orbit(gens, (), before, v)
+            }
+            assert all(p[x] in covered for p in passed for x in covered)
+            assert covered <= set(target)
+            calls.append((len(gens), len(covered) - len(before)))
+
+        monkeypatch.setattr(canonical_module, "_children", tracked)
+        monkeypatch.setattr(canonical_module, "_close", compared)
         for u in range(3, 7):
             points = tuple(str(i) for i in range(1, u + 1))
             for design in census._designs(points):
@@ -672,4 +695,40 @@ class TestTargetCellOrbits:
             g = random_bipartite(rng, max_part=6)
             canonical_form(g, respect_parts=True)
             canonical_form(g)
-        assert True in verdicts and False in verdicts
+        # Some calls with generators grow `covered`, and some find it closed.
+        grown = [added for k, added in calls if k]
+        assert any(grown) and not all(grown)
+
+
+class TestTwinClasses:
+    """Two positions share a class exactly when their open or their closed
+    neighbourhoods are equal, the class is the first such position, and no
+    position has both an open and a closed twin."""
+
+    def test_matches_pairwise_reference(self):
+        from circgraph.canonical import _twin_classes
+
+        rng = random.Random(1357)
+        graphs = [random_simple_graph(rng, 10) for _ in range(300)]
+        graphs += [as_simple(star(6)), as_simple(triangular(4)), SimpleGraph(("a", "b"), ())]
+        with_open_twin = with_closed_twin = 0
+        for g in graphs:
+            labels = g.index.labels
+            n = len(labels)
+            closed = [{labels[v]} for v in range(n)]
+            pos = {lab: v for v, lab in enumerate(labels)}
+            for a, b in g.edges:
+                closed[pos[a]].add(b)
+                closed[pos[b]].add(a)
+            opened = [closed[v] - {labels[v]} for v in range(n)]
+            classes = _twin_classes(g.index.masks)
+            for v in range(n):
+                open_twins = [u for u in range(n) if u != v and opened[u] == opened[v]]
+                closed_twins = [u for u in range(n) if u != v and closed[u] == closed[v]]
+                assert not (open_twins and closed_twins)
+                twins = sorted(open_twins + closed_twins)
+                assert [u for u in range(n) if u != v and classes[u] == classes[v]] == twins
+                assert classes[v] == min(twins + [v])
+                with_open_twin += bool(open_twins)
+                with_closed_twin += bool(closed_twins)
+        assert with_open_twin and with_closed_twin
