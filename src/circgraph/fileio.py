@@ -11,9 +11,9 @@ and edge order, a single trailing newline, and no timestamps. DOT output is
 export-only.
 
 A report object is its value's fields, written by `jsonify`: the field names
-of `CircularClassification`, `Violation`, `CheckReport` and `IsoCertificate`
-are report keys. Enums become their values, tuples become lists, and
-`UNREACHABLE` becomes "unreachable".
+of `CircularClassification`, `Violation`, `CheckReport`, `IsoCertificate` and
+`CensusEntry` are report keys. Enums become their values, tuples become
+lists, and `UNREACHABLE` becomes "unreachable".
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from enum import Enum
 from typing import Any, Callable, Union
 
 from . import __version__
-from .canonical import IsoCertificate
+from .canonical import CanonicalForm, IsoCertificate
 from .census import CensusEntry
 from .circular import CheckReport, CircularClassification
 from .constructions import Design, from_design
@@ -161,7 +161,9 @@ def jsonify(value: Any) -> Any:
 
     A report object is its value's fields: a dataclass value becomes an
     object keyed by its field names. Enums become their values, tuples become
-    lists, and the unreachable-distance sentinel becomes "unreachable".
+    lists, and the unreachable-distance sentinel becomes "unreachable". A
+    `CanonicalForm` is written as its key (n, u_size, bits), and a graph or
+    design in its input schema.
     """
     if isinstance(value, Enum):
         return value.value
@@ -173,27 +175,13 @@ def jsonify(value: Any) -> Any:
         return [jsonify(x) for x in value]
     if isinstance(value, dict):
         return {str(k): jsonify(v) for k, v in value.items()}
+    if isinstance(value, CanonicalForm):
+        return {"n": value.n, "u_size": value.u_size, "bits": value.bits}
+    if isinstance(value, (SimpleGraph, BipartiteGraph, Design)):
+        return payload_to_obj(value)
     if is_dataclass(value):
         return {f.name: jsonify(getattr(value, f.name)) for f in fields(value)}
     raise TypeError(f"value is not serializable into a report: {value!r}")
-
-
-def entry_to_obj(entry: CensusEntry) -> dict:
-    return {
-        "u_size": entry.u_size,
-        "w_size": entry.w_size,
-        "verdict": entry.verdict.value,
-        "diameter": jsonify(entry.diameter),
-        "radius": jsonify(entry.radius),
-        "u_degrees": list(entry.u_degrees),
-        "w_degrees": list(entry.w_degrees),
-        "canonical": {
-            "n": entry.canonical.n,
-            "u_size": entry.canonical.u_size,
-            "bits": entry.canonical.bits,
-        },
-        "graph": payload_to_obj(entry.graph),
-    }
 
 
 def report_obj(
@@ -212,7 +200,7 @@ def report_obj(
     if checks:
         obj["checks"] = jsonify(checks)
     if census is not None:
-        obj["census"] = [entry_to_obj(e) for e in census]
+        obj["census"] = jsonify(census)
     return obj
 
 
