@@ -11,12 +11,7 @@ canonical labeling, and exhaustively enumerates the small cases.
 __version__ = "0.1.0"
 
 from .canonical import CanonicalForm, IsoCertificate, are_isomorphic, canonical_form
-from .census import (
-    CensusEntry,
-    enumerate_circular,
-    enumerate_circular_trees,
-    free_trees,
-)
+from .census import CensusEntry, enumerate_circular, enumerate_circular_trees
 from .circular import (
     CheckReport,
     CheckStatus,
@@ -90,7 +85,6 @@ __all__ = [
     "distance",
     "enumerate_circular",
     "enumerate_circular_trees",
-    "free_trees",
     "from_design",
     "induced_subgraph",
     "metric_summary",

@@ -1,24 +1,25 @@
-"""Exhaustive censuses of small circular graphs and circular trees.
+"""Censuses of small circular graphs and circular trees.
 
 The circular census is an exact-cover search over point-label triples: each
 block is the bit mask of the triples inside it, and walking the first
 uncovered triple yields, one at a time, each family whose masks partition
-all triples. Both censuses deduplicate up to part-respecting isomorphism and
-describe only the class winners; `classify` re-validates each winner, which
-catches any non-circular family, as it would form a class of its own.
+all triples. It deduplicates up to part-respecting isomorphism and
+describes only the class winners; `classify` re-validates each winner, which
+catches any non-circular family, as it would form a class of its own. The
+tree census is computed, not searched: the circular trees are exactly the
+stars, which pass through the same entry code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Any, Iterable, Iterator, TypeVar
 
 from .canonical import CanonicalForm, canonical_form
 from .circular import Verdict, classify
 from .constructions import Design, from_design
-from .graphs import BipartiteGraph, Distance, GraphError, SimpleGraph, bfs_layers, metric_summary
+from .graphs import BipartiteGraph, Distance, GraphError, SimpleGraph, metric_summary
 
 _G = TypeVar("_G", SimpleGraph, BipartiteGraph)
 
@@ -115,49 +116,24 @@ def enumerate_circular(u_size: int) -> tuple[CensusEntry, ...]:
     return _classes((d.blocks, from_design(d)) for d in _designs(points))
 
 
-@lru_cache(maxsize=None)
-def free_trees(n: int) -> tuple[SimpleGraph, ...]:
-    """All free trees on n vertices up to isomorphism, labels v0..v(n-1).
-
-    Grown by leaf attachment from the trees on n-1 vertices and deduplicated
-    by canonical form; every tree arises because removing any leaf of it
-    lands on a smaller representative.
-    """
-    if not 1 <= n <= 12:
-        raise GraphError(f"tree size must be between 1 and 12: got {n}")
-    if n == 1:
-        return (SimpleGraph(("v0",), ()),)
-    new = f"v{n - 1}"
-    grown = (
-        SimpleGraph(t.vertices + (new,), t.edges + ((v, new),))
-        for t in free_trees(n - 1)
-        for v in t.vertices
-    )
-    return tuple(g for _, g, _ in _winners(enumerate(grown), False))
-
-
 def enumerate_circular_trees(max_n: int) -> tuple[CensusEntry, ...]:
-    """Circular graphs among all trees on up to max_n vertices.
+    """Circular graphs among all trees on up to max_n vertices: the stars
+    K1,m, m = 3..max_n-1, with the centre as the circle.
 
-    Each free tree has a unique bipartition; both orientations (which side
-    plays the points) are classified, and the circular ones enter the census.
+    A circular graph has a circle, and each circle holds at least three
+    points. No tree has two: if circles w1 and w2 did, they would share at
+    most one point, or the tree would hold a 4-cycle. Take points a and a'
+    on w1 but not on w2, and c on w2 but not on w1. The circle through
+    {a, a', c} holds a and a', so it is w1, which misses c. So a circular
+    tree has one circle, every point lies on it, as the tree is connected,
+    and the tree is a star with at least three points. Each star is built
+    with centre v0 and points v1..v(n-1), for n = 4..max_n, and goes through
+    the same entry code as the circular census.
     """
     if not 1 <= max_n <= 10:
         raise GraphError(f"tree size bound must be between 1 and 10: got {max_n}")
-
-    def circular() -> Iterator[BipartiteGraph]:
-        for n in range(1, max_n + 1):
-            for tree in free_trees(n):
-                side_a, side_b = _tree_bipartition(tree)
-                for part_u, part_w in ((side_a, side_b), (side_b, side_a)):
-                    g = BipartiteGraph(part_u, part_w, tree.edges)
-                    if classify(g).is_circular:
-                        yield g
-
-    return _classes(enumerate(circular()))
-
-
-def _tree_bipartition(tree: SimpleGraph) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    idx = tree.index
-    layers = bfs_layers(idx.masks, 0)
-    return idx.labels_of(sum(layers[0::2])), idx.labels_of(sum(layers[1::2]))
+    stars = []
+    for n in range(4, max_n + 1):
+        points = tuple(f"v{i}" for i in range(1, n))
+        stars.append(BipartiteGraph(points, ("v0",), tuple((v, "v0") for v in points)))
+    return _classes(enumerate(stars))

@@ -2,19 +2,30 @@
 
 Everything here recomputes facts from scratch (plain BFS, permutation
 search, raw loops) so library results are checked against code that shares
-no logic with the implementation under test. The one exception is
-`reference_are_isomorphic`, which composes two of the library's full
-canonical labelings: the reference for the early-stopping second search of
-`are_isomorphic`.
+no logic with the implementation under test. Two exceptions reuse library
+code around the part they check. `reference_are_isomorphic` composes two of
+the library's full canonical labelings: the reference for the
+early-stopping second search of `are_isomorphic`. `free_trees` and
+`brute_force_circular_trees` deduplicate and describe with the census's own
+class winner rule and entry code: the reference for the closed-form tree
+census, which they reach by searching every tree.
 """
 
 from collections import deque
+from functools import lru_cache
 from itertools import combinations, permutations
 import random
 
 from circgraph.canonical import IsoCertificate, canonical_form
-from circgraph.circular import CircularClassification, Verdict, Violation, ViolationKind
-from circgraph.graphs import UNREACHABLE, BipartiteGraph, SimpleGraph
+from circgraph.census import _classes, _winners
+from circgraph.circular import (
+    CircularClassification,
+    Verdict,
+    Violation,
+    ViolationKind,
+    classify,
+)
+from circgraph.graphs import UNREACHABLE, BipartiteGraph, GraphError, SimpleGraph, bfs_layers
 
 
 def oracle_bfs(g, start):
@@ -339,25 +350,84 @@ def paley(p):
     return _simple(p, lambda a, b: (b - a) % p in squares, "p")
 
 
-def cfi_k4(twisted):
-    """Cai-Fuerer-Immerman graph over K4: 40 vertices, 60 edges.
+def cfi(base_edges, n, twists):
+    """Cai-Fuerer-Immerman graph over a base graph on vertices 0..n-1.
 
-    Vertex x of K4 becomes one a-vertex per even subset S of its three edges
-    and two b-vertices (bit 0, bit 1) per edge e; a_S meets bit 1 of e when
-    e is in S, else bit 0. The two ends of each K4 edge join bit to bit,
-    crossed on the first edge when twisted. The twisted and untwisted graphs
-    are not isomorphic, and colour refinement cannot tell them apart.
+    Vertex x becomes one a-vertex per even subset S of its incident edges
+    and two b-vertices (bit 0, bit 1) per incident edge e; a_S meets bit 1
+    of e when e is in S, else bit 0. The two ends of each base edge join bit
+    to bit, crossed on the edges whose indices are in twists. Over a
+    connected base graph, twisting an even number of edges gives a graph
+    isomorphic to the untwisted one and an odd number one that is not;
+    colour refinement cannot tell them apart. Edges (x, y) have x < y and
+    n <= 10, so the labels are unique.
     """
-    k4 = list(combinations(range(4), 2))
     edges = []
-    for x in range(4):
-        incident = [e for e in k4 if x in e]
-        for size in (0, 2):
+    for x in range(n):
+        incident = [e for e in base_edges if x in e]
+        for size in range(0, len(incident) + 1, 2):
             for subset in combinations(incident, size):
                 a = f"a{x}:" + ",".join(f"{e[0]}{e[1]}" for e in subset)
                 edges.extend((a, f"b{x}:{e[0]}{e[1]}:{int(e in subset)}") for e in incident)
-    for i, (x, y) in enumerate(k4):
+    for i, (x, y) in enumerate(base_edges):
         for bit in (0, 1):
-            other = bit ^ (twisted and i == 0)
+            other = bit ^ (i in twists)
             edges.append((f"b{x}:{x}{y}:{bit}", f"b{y}:{x}{y}:{other}"))
     return SimpleGraph(tuple(sorted({v for e in edges for v in e})), tuple(edges))
+
+
+def cfi_k4(twisted):
+    """The CFI graphs over K4 (40 vertices, 60 edges), twisted on the first edge."""
+    return cfi(list(combinations(range(4), 2)), 4, {0} if twisted else ())
+
+
+def petersen_edges():
+    """The Petersen graph's 15 edges: outer 5-cycle, spokes, inner pentagram."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(i, i + 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return sorted(tuple(sorted(e)) for e in edges)
+
+
+@lru_cache(maxsize=None)
+def free_trees(n: int) -> tuple[SimpleGraph, ...]:
+    """All free trees on n vertices up to isomorphism, labels v0..v(n-1).
+
+    Grown by leaf attachment from the trees on n-1 vertices and deduplicated
+    by canonical form; every tree arises because removing any leaf of it
+    lands on a smaller representative.
+    """
+    if not 1 <= n <= 12:
+        raise GraphError(f"tree size must be between 1 and 12: got {n}")
+    if n == 1:
+        return (SimpleGraph(("v0",), ()),)
+    new = f"v{n - 1}"
+    grown = (
+        SimpleGraph(t.vertices + (new,), t.edges + ((v, new),))
+        for t in free_trees(n - 1)
+        for v in t.vertices
+    )
+    return tuple(g for _, g, _ in _winners(enumerate(grown), False))
+
+
+def _tree_bipartition(tree: SimpleGraph) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    idx = tree.index
+    layers = bfs_layers(idx.masks, 0)
+    return idx.labels_of(sum(layers[0::2])), idx.labels_of(sum(layers[1::2]))
+
+
+def brute_force_circular_trees(max_n):
+    """The tree census by search: both orientations of every free tree on up
+    to max_n vertices go through `classify`, and the circular ones through
+    the census's own class and entry code."""
+
+    def circular():
+        for n in range(1, max_n + 1):
+            for tree in free_trees(n):
+                side_a, side_b = _tree_bipartition(tree)
+                for part_u, part_w in ((side_a, side_b), (side_b, side_a)):
+                    g = BipartiteGraph(part_u, part_w, tree.edges)
+                    if classify(g).is_circular:
+                        yield g
+
+    return _classes(enumerate(circular()))

@@ -8,11 +8,7 @@ import random
 import time
 
 from circgraph.canonical import are_isomorphic, canonical_form
-from circgraph.census import (
-    enumerate_circular,
-    enumerate_circular_trees,
-    free_trees,
-)
+from circgraph.census import enumerate_circular, enumerate_circular_trees
 from circgraph.circular import CheckStatus, Verdict, check_linear_axioms, classify
 from circgraph.circular import (
     verify_distance_profile,
@@ -23,7 +19,7 @@ from circgraph.constructions import derive_linear, neighborhood_graph, star, tri
 from circgraph.fileio import dumps_obj, parse_payload, payload_to_obj
 from circgraph.graphs import SimpleGraph, as_simple, disjoint_union, metric_summary
 
-from helpers import brute_force_classify, random_bipartite, relabeled
+from helpers import brute_force_classify, free_trees, random_bipartite, relabeled
 
 
 def _finish(num, name, failures, started, budget):

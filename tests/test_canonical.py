@@ -1,5 +1,6 @@
 """Canonical forms and isomorphism certificates."""
 
+from itertools import combinations
 import random
 import time
 
@@ -18,10 +19,13 @@ from circgraph.graphs import (
 )
 
 from helpers import (
+    cfi,
     cfi_k4,
+    free_trees,
     oracle_isomorphic,
     oracle_part_isomorphic,
     paley,
+    petersen_edges,
     random_bipartite,
     reference_are_isomorphic,
     reference_in_explored_orbit,
@@ -253,7 +257,6 @@ class TestPruningNeutrality:
         # disabled: `_close` does nothing, so `covered` holds only the
         # explored candidates, and each position is its own twin class.
         import circgraph.canonical as canonical_module
-        from circgraph.census import free_trees
 
         graphs = [as_simple(star(n)) for n in range(4, 10)]
         graphs += [as_simple(triangular(n)) for n in (4, 5)]
@@ -383,8 +386,6 @@ class TestRefinementOrder:
             self.check_chain(g, True, rng)
 
     def test_regular_and_tree_graphs(self):
-        from circgraph.census import free_trees
-
         rng = random.Random(99)
         for g in [as_simple(triangular(6)), shrikhande(), paley(13)] + list(free_trees(8)):
             self.check_chain(g, False, rng)
@@ -466,6 +467,34 @@ class TestNetworkxOracle:
 
         assert nx.is_isomorphic(to_nx(g1), to_nx(g2)) == isomorphic
         assert are_isomorphic(g1, g2).isomorphic == isomorphic
+
+
+class TestCfiParity:
+    """CFI graphs over K5 (80 vertices) and the Petersen graph (100), decided
+    against the CFI parity theorem: twisting an even number of base edges
+    gives a graph isomorphic to the untwisted one, an odd number one that is
+    not. networkx's VF2 gave no answer on the K5 odd pair in 3 minutes, so
+    the theorem is the oracle here."""
+
+    BASES = {"k5": (list(combinations(range(5), 2)), 5), "petersen": (petersen_edges(), 10)}
+
+    @pytest.mark.parametrize("base", sorted(BASES))
+    @pytest.mark.parametrize("twists", [(0,), (1, 4, 7), (0, 3), (2, 5)])
+    def test_parity_decides_isomorphism(self, base, twists):
+        edges, n = self.BASES[base]
+        untwisted, twisted = cfi(edges, n, ()), cfi(edges, n, set(twists))
+        cert = are_isomorphic(untwisted, twisted)
+        assert cert.isomorphic == (len(twists) % 2 == 0)
+        if cert.isomorphic:
+            mapped = {frozenset((cert.mapping[a], cert.mapping[b])) for a, b in untwisted.edges}
+            assert mapped == {frozenset(e) for e in twisted.edges}
+
+    @pytest.mark.parametrize("base", sorted(BASES))
+    def test_relabeled_copy(self, base):
+        edges, n = self.BASES[base]
+        odd = relabeled(cfi(edges, n, {1, 4, 7}), random.Random(5))[0]
+        assert are_isomorphic(cfi(edges, n, {0}), odd).isomorphic
+        assert not are_isomorphic(cfi(edges, n, ()), odd).isomorphic
 
 
 class TestCheapRejection:
@@ -629,8 +658,6 @@ class TestDirtyCellRefinement:
             self.check_chain(g, True, rng)
 
     def test_regular_tree_and_cfi_graphs(self):
-        from circgraph.census import free_trees
-
         rng = random.Random(99)
         graphs = [as_simple(triangular(6)), shrikhande(), paley(13), cfi_k4(False), cfi_k4(True)]
         for g in graphs + list(free_trees(8)):

@@ -7,16 +7,18 @@ from hypothesis import given, settings
 
 from circgraph import census, circular
 from circgraph.canonical import are_isomorphic, canonical_form
-from circgraph.census import (
-    enumerate_circular,
-    enumerate_circular_trees,
-    free_trees,
-)
+from circgraph.census import enumerate_circular, enumerate_circular_trees
 from circgraph.circular import CheckStatus, Verdict, classify, run_all_checks
 from circgraph.constructions import neighborhood_graph, star, triangular
 from circgraph.graphs import BipartiteGraph, GraphError, SimpleGraph, disjoint_union, metric_summary
 
-from helpers import brute_force_classify, dumb_circular_families, random_bipartite
+from helpers import (
+    brute_force_circular_trees,
+    brute_force_classify,
+    dumb_circular_families,
+    free_trees,
+    random_bipartite,
+)
 from strategies import bipartite_graphs
 
 # Known free-tree counts, the independent anchor for the generator.
@@ -138,15 +140,23 @@ class TestCircularTrees:
         for m, entry in zip(range(4, 10), entries):
             assert are_isomorphic(entry.graph, star(m)).isomorphic
 
-    def test_each_orientation_classified_once(self, monkeypatch):
-        # The 7 class winners reuse the verdict their orientation got.
+    @pytest.mark.parametrize("max_n", range(1, 11))
+    def test_matches_brute_force(self, max_n):
+        # The oracle classifies both orientations of every free tree.
+        def fields(e):
+            return (e.graph, e.canonical.key, e.verdict, e.diameter, e.radius, e.u_degrees, e.w_degrees)
+
+        got = [fields(e) for e in enumerate_circular_trees(max_n)]
+        assert got == [fields(e) for e in brute_force_circular_trees(max_n)]
+
+    def test_each_star_classified_once(self, monkeypatch):
         calls = []
         real = circular._classify
         monkeypatch.setattr(
             circular, "_classify", lambda g, idx: calls.append(g) or real(g, idx)
         )
         enumerate_circular_trees(10)
-        assert len(calls) == 402
+        assert len(calls) == 7
 
     def test_max2_empty(self):
         assert enumerate_circular_trees(2) == ()
@@ -175,7 +185,7 @@ class TestCircularTrees:
 
 class TestWinners:
     """The one rule that keeps a class winner, shared by both censuses and
-    `free_trees`."""
+    the test oracle `helpers.free_trees`."""
 
     @staticmethod
     def path(labels):
