@@ -1,21 +1,33 @@
 """Canonical labeling and isomorphism certificates at desk scale.
 
 The labeling follows refinement-with-individualization over one ordered
-partition: a list of cells, each listing its positions in ascending order.
-Refinement runs in rounds; each round splits cells by their members' sorted
-neighbor-cell indices, all taken at the start of the round, and the pieces
-take their cell's slot in key order. Only dirty cells are re-keyed: those
-holding a neighbor of a moved vertex. In the first refinement every vertex
-counts as moved (a cell of isolated vertices has one key and never
-splits); afterwards the moved vertices are those the last round split off
-into a piece other than the largest of its cell (after individualizing v:
-v itself). The members of any other cell still agree on their neighbor
-count in every cell, the largest piece's count following from its old
-cell's, and as cell indices only shift monotonically their keys stay
-equal. The rounds stop when no dirty cell splits. The smallest
-cell of two or more members (lowest index on ties) is the branch target;
-each branch moves one member into a singleton just before the rest of its
-cell and refines again. A discrete partition, read cell by cell, is a
+partition: a list of cells, each an int mask whose bit v is position v.
+Refinement runs in rounds. Each round counts, for all positions at once,
+their neighbours in each new piece of the cells that split in the round
+before, the last piece of each cell excepted. A counter is bit-sliced:
+slice i holds bit i of every position's count, summed by ripple-carry
+addition of the piece members' adjacency masks. Every cell of two or more
+members is then split by the counters in piece-index order, larger counts
+first, with a few ANDs per slice, and its groups take its slot. The rounds
+stop when no cell splits.
+
+This is the order of keying each cell by its members' sorted tuples of
+neighbour-cell indices, all taken at the start of the round, the pieces
+taking the cell's slot in key order. Two members of one cell at the start
+of a round have the same degree. They agree on their counts into every
+cell that did not split in the round before, and into each split cell as
+a whole. So their tuples first differ at a piece of a split cell, and the
+member with the larger count there sorts first. That piece is never the
+last of its cell: the counts into the earlier pieces and the whole cell
+imply the count into the last, which is why it goes uncounted. At the root
+every position's neighbours lie in one initial cell, the other part or the
+single cell, so the first round there is a sort by degree, ascending: the
+root splits each cell by degree and then runs one round over all cells.
+After individualizing v, the only piece counted is v itself.
+
+The smallest cell of two or more members (lowest index on ties) is the
+branch target; each branch moves one member into a singleton just before
+the rest of its cell and refines again. A discrete partition, read cell by cell, is a
 candidate vertex order, and the least upper-triangular adjacency bit string
 wins. Leaves hold it as row integers (row i: positions i+1..n-1, i+1 most
 significant, so fixed-width rows compare as the string does), read off one
@@ -108,44 +120,77 @@ class IsoCertificate:
     mapping: Optional[Mapping[str, str]] = None
 
 
+def _counts(masks: Sequence[int], piece: int) -> list[int]:
+    # Bit-sliced neighbour counts into `piece`: slice i holds bit i of every
+    # position's count, summed by ripple-carry addition of the members' masks.
+    slices: list[int] = []
+    while piece:
+        low = piece & -piece
+        piece ^= low
+        carry = masks[low.bit_length() - 1]
+        for i, s in enumerate(slices):
+            slices[i] = s ^ carry
+            carry &= s
+            if not carry:
+                break
+        else:
+            slices.append(carry)
+    return slices
+
+
+def _split(groups: list[int], slices: list[int]) -> list[int]:
+    # Each group's members by count, larger counts first, the groups keeping
+    # their order: each slice, most significant first, puts a group's set
+    # members ahead of the rest.
+    for s in reversed(slices):
+        out = []
+        for g in groups:
+            high = g & s
+            if high and high != g:
+                out += (high, g ^ high)
+            else:
+                out.append(g)
+        groups = out
+    return groups
+
+
 def _refine(
-    nbrs: tuple[tuple[int, ...], ...],
-    cells: list[list[int]],
-    moved: Optional[Sequence[int]] = None,
-) -> list[list[int]]:
-    # Stable point: no cell splits by its members' neighbor-cell indices.
-    # Pieces take their cell's slot in key order; singletons never split.
-    # `moved` were split off their cells of a stable partition, and only
-    # cells holding a neighbor of one of them can split; None moves every
-    # vertex (a cell of isolated vertices has one key and never splits).
-    if moved is None:
-        moved = range(len(nbrs))
-    where = [0] * len(nbrs)
+    masks: Sequence[int], cells: list[int], pieces: Optional[list[int]] = None
+) -> list[int]:
+    # Stable point: no cell splits by its members' counts into the pieces.
+    # `pieces` are the new pieces of a stable partition's split cells, each
+    # but the last of its cell (after individualizing v: [1 << v]). None is
+    # the root: cells split by degree, ascending, and then count into all.
+    if pieces is None:
+        degrees = _counts(masks, sum(cells))
+        cells = [g for cell in cells for g in reversed(_split([cell], degrees))]
+        pieces = cells
     while True:
-        for i, cell in enumerate(cells):
-            for v in cell:
-                where[v] = i
-        dirty = sorted({where[u] for x in moved for u in nbrs[x]})
-        out: list[list[int]] = []
+        # Each counter with the positions it reaches (a nonzero count).
+        counters = []
+        reach = 0
+        for piece in pieces:
+            slices = _counts(masks, piece)
+            met = 0
+            for s in slices:
+                met |= s
+            counters.append((slices, met))
+            reach |= met
+        out: list[int] = []
         kept = 0
-        moved = []
-        for i in dirty:
+        pieces = []
+        for i in [i for i, cell in enumerate(cells) if cell & reach and cell & (cell - 1)]:
             cell = cells[i]
-            if len(cell) == 1:
-                continue
-            pieces: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                pieces.setdefault(tuple(sorted([where[u] for u in nbrs[v]])), []).append(v)
-            if len(pieces) == 1:
-                continue
-            split = [pieces[k] for k in sorted(pieces)]
-            out += cells[kept:i]
-            out += split
-            kept = i + 1
-            # Counts into the largest piece follow from those into the rest.
-            largest = max(split, key=len)
-            moved += [v for piece in split if piece is not largest for v in piece]
-        if not moved:
+            groups = [cell]
+            for slices, met in counters:
+                if cell & met:
+                    groups = _split(groups, slices)
+            if len(groups) > 1:
+                out += cells[kept:i]
+                out += groups
+                kept = i + 1
+                pieces += groups[:-1]
+        if not pieces:
             return cells
         out += cells[kept:]
         cells = out
@@ -177,13 +222,13 @@ def _close(covered: set[int], todo: list[int], gens: list[tuple[int, ...]]) -> N
 
 
 def _children(
-    nbrs: tuple[tuple[int, ...], ...],
+    masks: Sequence[int],
     twins: list[int],
-    cells: list[list[int]],
+    cells: list[int],
     t: int,
     prefix: tuple[int, ...],
     gens: list[tuple[int, ...]],
-) -> Iterator[tuple[list[list[int]], tuple[int, ...]]]:
+) -> Iterator[tuple[list[int], tuple[int, ...]]]:
     # One search node, suspended between its children: it yields each
     # unpruned child, and that child's subtree is complete when it resumes.
     # `seen` holds the twin classes of the explored candidates and `covered`
@@ -193,7 +238,7 @@ def _children(
     covered: set[int] = set()
     fixing: list[tuple[int, ...]] = []
     absorbed = 0
-    for v in target:
+    for v in bits(target):
         if twins[v] in seen:
             continue
         if covered:
@@ -204,17 +249,17 @@ def _children(
                 _close(covered, list(covered), fixing)
             if v in covered:
                 continue
-        rest = [u for u in target if u != v]
-        yield _refine(nbrs, cells[:t] + [[v], rest] + cells[t + 1 :], (v,)), prefix + (v,)
+        low = 1 << v
+        yield _refine(masks, cells[:t] + [low, target ^ low] + cells[t + 1 :], [low]), prefix + (v,)
         seen.add(twins[v])
         covered.add(v)
         _close(covered, [v], fixing)
 
 
 def _search(
-    nbrs: tuple[tuple[int, ...], ...],
+    masks: Sequence[int],
     twins: list[int],
-    cells: list[list[int]],
+    cells: list[int],
     target: Optional[tuple[int, ...]] = None,
 ) -> tuple[tuple[int, ...], list[int]]:
     """Rows and vertex order of the first least leaf in depth-first order.
@@ -226,23 +271,27 @@ def _search(
     """
     # Depth first on an explicit stack of suspended nodes, so the depth is
     # bounded by memory rather than by the interpreter's recursion limit.
-    n = len(nbrs)
+    n = len(masks)
+    # Neighbour tuples for the leaf rows, built once per search.
+    nbrs = tuple(tuple(bits(m)) for m in masks)
     best: tuple[int, ...] = ()
     best_order: list[int] = []
     gens: list[tuple[int, ...]] = []
     bit = [0] * n
-    stack: list[Iterator[tuple[list[list[int]], tuple[int, ...]]]] = []
+    stack: list[Iterator[tuple[list[int], tuple[int, ...]]]] = []
     prefix: tuple[int, ...] = ()
     while True:
         t = -1
+        size = 0
         for i, cell in enumerate(cells):
-            if len(cell) >= 2 and (t < 0 or len(cell) < len(cells[t])):
-                t = i
+            k = cell.bit_count()
+            if k >= 2 and (t < 0 or k < size):
+                t, size = i, k
         if t >= 0:
-            stack.append(_children(nbrs, twins, cells, t, prefix, gens))
+            stack.append(_children(masks, twins, cells, t, prefix, gens))
         else:
             # Position i of the leaf order is bit n-1-i; row i keeps the bits after i.
-            order = [cell[0] for cell in cells]
+            order = [cell.bit_length() - 1 for cell in cells]
             for i, v in enumerate(order):
                 bit[v] = 1 << (n - 1 - i)
             rows = tuple(sum([bit[u] for u in nbrs[v]]) & (bit[v] - 1) for v in order[:-1])
@@ -265,14 +314,14 @@ def _search(
             return best, best_order
 
 
-def _initial_cells(g: Graph, respect_parts: bool) -> list[list[int]]:
+def _initial_cells(g: Graph, respect_parts: bool) -> list[int]:
     """[points, circles] in part-respecting mode, else one cell of all positions."""
     if respect_parts and not isinstance(g, BipartiteGraph):
         raise GraphError("part-respecting canonical form requires a bipartite graph")
     idx = g.index
     if respect_parts:
-        return [list(bits(idx.points)), list(bits(idx.circles))]
-    return [list(range(len(idx.labels)))]
+        return [idx.points, idx.circles]
+    return [(1 << len(idx.labels)) - 1]
 
 
 def _label(
@@ -281,9 +330,7 @@ def _label(
     """`_search` over the positions of `g`, from its refined initial cells."""
     cells = _initial_cells(g, respect_parts)
     masks = g.index.masks
-    # Tuples: reading bits(mask) inside the refinement loop was slower on dense graphs.
-    nbrs = tuple(tuple(bits(m)) for m in masks)
-    return _search(nbrs, _twin_classes(masks), _refine(nbrs, [c for c in cells if c]), target)
+    return _search(masks, _twin_classes(masks), _refine(masks, [c for c in cells if c]), target)
 
 
 def canonical_form(g: Graph, respect_parts: bool = False) -> CanonicalForm:
@@ -328,7 +375,7 @@ def are_isomorphic(g1: Graph, g2: Graph, respect_parts: bool = False) -> IsoCert
     def degrees(g: Graph) -> list[list[int]]:
         masks = g.index.masks
         cells = _initial_cells(g, respect_parts)
-        return [sorted(masks[v].bit_count() for v in cell) for cell in cells]
+        return [sorted(masks[v].bit_count() for v in bits(cell)) for cell in cells]
 
     if degrees(g1) != degrees(g2):
         return IsoCertificate(False, None)

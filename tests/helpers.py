@@ -308,6 +308,16 @@ def reference_individualize(colors, v):
     return out
 
 
+def cell_masks(cells):
+    """Cells as lists of positions -> cells as masks (bit v = position v)."""
+    return [sum(1 << v for v in cell) for cell in cells]
+
+
+def cell_lists(cells):
+    """Cells as masks -> cells as ascending lists of positions."""
+    return [[v for v in range(cell.bit_length()) if cell >> v & 1] for cell in cells]
+
+
 def reference_in_explored_orbit(gens, prefix, explored, v):
     """Orbit pruning over all n vertices, from scratch: union a with p[a]
     for every a and every generator p fixing the prefix pointwise, then ask

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circgraph.canonical import _refine, are_isomorphic, canonical_form
+from circgraph.canonical import _counts, _refine, _split, are_isomorphic, canonical_form
 from circgraph.constructions import neighborhood_graph, star, triangular
 from circgraph.graphs import (
     BipartiteGraph,
@@ -19,6 +19,8 @@ from circgraph.graphs import (
 )
 
 from helpers import (
+    cell_lists,
+    cell_masks,
     cfi,
     cfi_k4,
     free_trees,
@@ -336,6 +338,48 @@ def neighbor_tuples(g):
     return tuple(tuple(i for i in range(len(g.index.masks)) if m >> i & 1) for m in g.index.masks)
 
 
+@st.composite
+def masks_piece_groups(draw):
+    # A symmetric adjacency on up to 40 positions, a piece, and a cell cut
+    # into one or two groups.
+    n = draw(st.integers(min_value=1, max_value=40))
+    masks = [0] * n
+    for v in range(1, n):
+        row = draw(st.integers(min_value=0, max_value=(1 << v) - 1))
+        masks[v] |= row
+        for u in range(v):
+            masks[u] |= (row >> u & 1) << v
+    piece = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    cell = draw(st.integers(min_value=1, max_value=(1 << n) - 1))
+    cut = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    return masks, piece, [g for g in (cell & cut, cell & ~cut) if g]
+
+
+class TestBitSlicedCounts:
+    """`_counts` decodes to each position's neighbour count in the piece, and
+    `_split` partitions each group into groups of one count, larger counts
+    first, keeping the groups' order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(masks_piece_groups())
+    def test_counts_and_split(self, drawn):
+        masks, piece, groups_in = drawn
+        slices = _counts(masks, piece)
+        count = [sum((s >> v & 1) << i for i, s in enumerate(slices)) for v in range(len(masks))]
+        assert count == [(m & piece).bit_count() for m in masks]
+        groups = _split(groups_in, slices)
+        assert all(groups)
+        assert all(a & b == 0 for a, b in combinations(groups, 2))
+        # The groups from each input group, in the input groups' order.
+        own = [[g for g in groups if g & g_in] for g_in in groups_in]
+        assert sum(own, []) == groups
+        for g_in, pieces in zip(groups_in, own):
+            assert sum(pieces) == g_in
+            keys = [{count[v] for v in members} for members in cell_lists(pieces)]
+            assert all(len(k) == 1 for k in keys)
+            assert all(a > b for (a,), (b,) in zip(keys, keys[1:]))
+
+
 class TestRefinementOrder:
     """Cells of `_refine` against the colour classes of the global-signature
     reference, along random individualization chains."""
@@ -343,8 +387,7 @@ class TestRefinementOrder:
     def check_chain(self, g, respect_parts, rng):
         idx = g.index
         n = len(idx.labels)
-        nbrs = neighbor_tuples(g)
-        adj = [set(t) for t in nbrs]
+        adj = [set(t) for t in neighbor_tuples(g)]
         if respect_parts:
             colors = [0 if idx.points >> v & 1 else 1 for v in range(n)]
         else:
@@ -352,7 +395,7 @@ class TestRefinementOrder:
         cells = [[v for v in range(n) if colors[v] == c] for c in (0, 1)]
         cells = [c for c in cells if c]
         while True:
-            cells = _refine(nbrs, cells)
+            cells = cell_lists(_refine(idx.masks, cell_masks(cells)))
             colors = reference_refine(n, adj, colors)
             classes = [[v for v in range(n) if colors[v] == c] for c in range(len(cells))]
             assert cells == classes
@@ -390,6 +433,13 @@ class TestRefinementOrder:
         for g in [as_simple(triangular(6)), shrikhande(), paley(13)] + list(free_trees(8)):
             self.check_chain(g, False, rng)
 
+    def test_larger_graphs(self):
+        # triangular(9) part-respecting (93 vertices) and CFI over K5 (80).
+        rng = random.Random(57)
+        for _ in range(3):
+            self.check_chain(triangular(9), True, rng)
+            self.check_chain(cfi(list(combinations(range(5), 2)), 5, ()), False, rng)
+
 
 class TestNetworkxOracle:
     """Pairs that colour refinement alone cannot separate, decided against
@@ -410,7 +460,9 @@ class TestNetworkxOracle:
         g1, g2 = self.pairs()[name]
         union = disjoint_union(g1, g2)
         first = {union.index.position[v] for v in g1.vertex_labels}
-        stable = _refine(neighbor_tuples(union), [list(range(len(union.index.labels)))])
+        stable = cell_lists(
+            _refine(union.index.masks, cell_masks([list(range(len(union.index.labels)))]))
+        )
         assert all(2 * len(first.intersection(cell)) == len(cell) for cell in stable)
 
         def to_nx(g):
@@ -562,6 +614,10 @@ class TestSearchNodeCounts:
             (lambda: cfi_k4(False), False, 41),
             (lambda: cfi_k4(True), False, 51),
             (lambda: as_simple(triangular(9)), False, 129),
+            (lambda: cfi(list(combinations(range(5), 2)), 5, ()), False, 120),
+            (lambda: cfi(list(combinations(range(5), 2)), 5, {0}), False, 136),
+            (lambda: cfi(petersen_edges(), 10, ()), False, 124),
+            (lambda: cfi(petersen_edges(), 10, {0}), False, 215),
         ],
         ids=[
             "triangular8-parts",
@@ -577,6 +633,10 @@ class TestSearchNodeCounts:
             "cfi-k4",
             "cfi-k4-twisted",
             "triangular9",
+            "cfi-k5",
+            "cfi-k5-twisted",
+            "cfi-petersen",
+            "cfi-petersen-twisted",
         ],
     )
     def test_node_count(self, monkeypatch, build, respect_parts, nodes):
@@ -628,12 +688,11 @@ class TestDirtyCellRefinement:
     def check_chain(self, g, respect_parts, rng):
         idx = g.index
         n = len(idx.labels)
-        nbrs = neighbor_tuples(g)
         if respect_parts:
             cells = [[v for v in range(n) if idx.points >> v & 1 == side] for side in (1, 0)]
         else:
             cells = [list(range(n))]
-        cells = _refine(nbrs, [c for c in cells if c])
+        cells = cell_lists(_refine(idx.masks, cell_masks([c for c in cells if c])))
         while True:
             open_cells = [t for t, cell in enumerate(cells) if len(cell) >= 2]
             if not open_cells:
@@ -641,8 +700,8 @@ class TestDirtyCellRefinement:
             t = rng.choice(open_cells)
             v = rng.choice(cells[t])
             cells = cells[:t] + [[v], [u for u in cells[t] if u != v]] + cells[t + 1 :]
-            full = _refine(nbrs, cells)
-            cells = _refine(nbrs, cells, (v,))
+            full = cell_lists(_refine(idx.masks, cell_masks(cells)))
+            cells = cell_lists(_refine(idx.masks, cell_masks(cells), cell_masks([[v]])))
             assert cells == full
 
     def test_random_simple_graphs(self):
@@ -664,6 +723,13 @@ class TestDirtyCellRefinement:
             for _ in range(3):
                 self.check_chain(g, False, rng)
 
+    def test_larger_graphs(self):
+        # triangular(9) part-respecting (93 vertices) and CFI over K5 (80).
+        rng = random.Random(57)
+        for _ in range(3):
+            self.check_chain(triangular(9), True, rng)
+            self.check_chain(cfi(list(combinations(range(5), 2)), 5, ()), False, rng)
+
 
 class TestTargetCellOrbits:
     """Each call of `_close` leaves in `covered` exactly the orbit union of
@@ -684,11 +750,11 @@ class TestTargetCellOrbits:
         running = []
         calls = []
 
-        def tracked(nbrs, twins, cells, t, prefix, gens):
-            node = real_children(nbrs, twins, cells, t, prefix, gens)
+        def tracked(masks, twins, cells, t, prefix, gens):
+            node = real_children(masks, twins, cells, t, prefix, gens)
             passed = []
             while True:
-                running.append((prefix, cells[t], passed))
+                running.append((prefix, cell_lists(cells)[t], passed))
                 child = next(node, None)
                 running.pop()
                 if child is None:
