@@ -27,13 +27,14 @@ After individualizing v, the only piece counted is v itself.
 
 The smallest cell of two or more members (lowest index on ties) is the
 branch target; each branch moves one member into a singleton just before
-the rest of its cell and refines again. A discrete partition, read cell by cell, is a
-candidate vertex order, and the least upper-triangular adjacency bit string
-wins. Leaves hold it as row integers (row i: positions i+1..n-1, i+1 most
-significant, so fixed-width rows compare as the string does), read off one
-per-vertex bit table: the vertex at position i is bit n-1-i, so a row is
-the sum of its neighbors' bits below its own. `_search` returns the first
-least leaf in depth-first order, and `CanonicalForm` keeps its rows.
+the rest of its cell and refines again. A discrete partition, read cell by
+cell, is a candidate vertex order, and the least upper-triangular
+adjacency bit string wins. Leaves hold it as row integers (row i:
+positions i+1..n-1, i+1 most significant, so fixed-width rows compare as
+the string does), read off one per-vertex bit table: the vertex at
+position i is bit n-1-i, so a row is the sum of its neighbors' bits below
+its own. `_search` returns the first least leaf in depth-first order, and
+`CanonicalForm` keeps its rows.
 
 Cells never move past each other, so in part-respecting mode, which starts
 from the cells (points, circles), all point vertices come before all circle
