@@ -50,13 +50,21 @@ or the same closed neighbourhood, are swapped by an automorphism fixing
 every other position; each position has one twin class, and a candidate
 whose class is in `seen`, the classes of the explored candidates, is
 skipped at once. Other automorphisms are discovered from equal-value
-leaves, each mapping the best order onto the leaf's (at most 64 kept).
-`covered` is the closure of the explored candidates under the generators
-found so far that fix the prefix, which is their orbit union; before each
-candidate the node takes in only the generators found since its last look,
-closes `covered` again if any fix the prefix, and skips the candidate if
-it is covered. Neither pruning changes the winning leaf, as the search
-keeps the first least leaf in depth-first order.
+leaves, each mapping the best order onto the leaf's. Every node keeps its
+own list of them: those found so far that fix its prefix. A child's prefix
+is its parent's and one position v more, and every generator in the
+parent's list fixes the parent's prefix, so the child's list is the
+parent's filtered by v alone. A generator found at a leaf joins the list of
+each node on the stack from the root down, until the first node whose
+running child's position it moves, as every prefix below holds it.
+`covered` is the closure of the explored candidates under the node's list,
+which is their orbit union; before each candidate the node closes all of
+`covered` again if its list grew since it last looked, else only the
+candidate explored last, and skips the candidate if it is covered. The
+whole list is needed: with `covered` = {1, 2}, an old generator (3 4) and
+a new one (1 3), the closure holds 4, which the new generator alone does
+not reach. Neither pruning changes the winning leaf, as the search keeps
+the first least leaf in depth-first order.
 
 The search runs depth first on an explicit stack: each node on it is
 suspended between two of its children, in target-cell order, and resumes
@@ -227,34 +235,34 @@ def _children(
     twins: list[int],
     cells: list[int],
     t: int,
-    prefix: tuple[int, ...],
-    gens: list[tuple[int, ...]],
-) -> Iterator[tuple[list[int], tuple[int, ...]]]:
+    fixing: list[tuple[int, ...]],
+) -> Iterator[tuple[list[int], int]]:
     # One search node, suspended between its children: it yields each
-    # unpruned child, and that child's subtree is complete when it resumes.
-    # `seen` holds the twin classes of the explored candidates and `covered`
-    # their orbits under `fixing`, the generators fixing the prefix pointwise.
+    # unpruned child with the position it individualizes, and that child's
+    # subtree is complete when it resumes. `fixing` is the node's list of the
+    # generators found so far that fix its prefix pointwise; the search
+    # appends to it while the node is suspended. `seen` holds the twin
+    # classes of the explored candidates and `covered` their orbits under
+    # `fixing`; `todo` is what `covered` still has to be closed from.
     target = cells[t]
     seen: set[int] = set()
     covered: set[int] = set()
-    fixing: list[tuple[int, ...]] = []
-    absorbed = 0
+    todo: list[int] = []
+    looked = 0
     for v in bits(target):
         if twins[v] in seen:
             continue
-        if covered:
-            fresh = [p for p in gens[absorbed:] if all(p[x] == x for x in prefix)]
-            absorbed = len(gens)
-            if fresh:
-                fixing += fresh
-                _close(covered, list(covered), fixing)
-            if v in covered:
-                continue
+        if len(fixing) > looked:
+            looked = len(fixing)
+            todo = list(covered)
+        _close(covered, todo, fixing)
+        if v in covered:
+            continue
         low = 1 << v
-        yield _refine(masks, cells[:t] + [low, target ^ low] + cells[t + 1 :], [low]), prefix + (v,)
+        yield _refine(masks, cells[:t] + [low, target ^ low] + cells[t + 1 :], [low]), v
         seen.add(twins[v])
         covered.add(v)
-        _close(covered, [v], fixing)
+        todo.append(v)
 
 
 def _search(
@@ -277,10 +285,11 @@ def _search(
     nbrs = tuple(tuple(bits(m)) for m in masks)
     best: tuple[int, ...] = ()
     best_order: list[int] = []
-    gens: list[tuple[int, ...]] = []
     bit = [0] * n
-    stack: list[Iterator[tuple[list[int], tuple[int, ...]]]] = []
-    prefix: tuple[int, ...] = ()
+    # Each suspended node with its generator list, and the position its
+    # running child individualizes: `path` is the prefix of that child.
+    stack: list[tuple[Iterator[tuple[list[int], int]], list[tuple[int, ...]]]] = []
+    path: list[int] = []
     while True:
         t = -1
         size = 0
@@ -289,7 +298,10 @@ def _search(
             if k >= 2 and (t < 0 or k < size):
                 t, size = i, k
         if t >= 0:
-            stack.append(_children(masks, twins, cells, t, prefix, gens))
+            # The parent's generators fix the parent's prefix, so those that
+            # fix this node's prefix are the ones fixing its own position.
+            fixing = [p for p in stack[-1][1] if p[path[-1]] == path[-1]] if stack else []
+            stack.append((_children(masks, twins, cells, t, fixing), fixing))
         else:
             # Position i of the leaf order is bit n-1-i; row i keeps the bits after i.
             order = [cell.bit_length() - 1 for cell in cells]
@@ -300,15 +312,19 @@ def _search(
                 best, best_order = rows, order
                 if target is not None and rows <= target:
                     return best, best_order
-            elif rows == best and len(gens) < 64:
-                perm = [0] * n
-                for a, b in zip(best_order, order):
-                    perm[a] = b
-                gens.append(tuple(perm))
+            elif rows == best:
+                # The automorphism taking the best order to this leaf's, kept
+                # by every node from the root down whose prefix it fixes.
+                p = tuple(b for _, b in sorted(zip(best_order, order)))
+                for (_, fixing), v in zip(stack, path):
+                    fixing.append(p)
+                    if p[v] != v:
+                        break
         while stack:
-            child = next(stack[-1], None)
+            child = next(stack[-1][0], None)
             if child is not None:
-                cells, prefix = child
+                cells, v = child
+                path[len(stack) - 1 :] = [v]
                 break
             stack.pop()
         else:

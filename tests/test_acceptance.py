@@ -126,6 +126,17 @@ def test_criterion_05_neighborhood_doubling():
             failures.append(f"doubling failed on {len(g.part_u)}+{len(g.part_w)} graph")
         elif not _replay_mapping(neighborhood_graph(g), doubled, cert.mapping):
             failures.append("certificate mapping did not replay edge-exactly")
+    # Under relabeling too: the search cost must not depend on the labels.
+    for n in (7, 8):
+        g = triangular(n)
+        doubled = disjoint_union(g, g)
+        for seed in range(1, 5):
+            h, _ = relabeled(neighborhood_graph(g), random.Random(seed))
+            cert = are_isomorphic(h, doubled)
+            if not cert.isomorphic:
+                failures.append(f"doubling failed on triangular({n}) relabeled with seed {seed}")
+            elif not _replay_mapping(h, doubled, cert.mapping):
+                failures.append("certificate mapping did not replay edge-exactly")
     _finish(5, "neighborhood graph doubles the graph", failures, started, 30.0)
 
 

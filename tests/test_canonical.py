@@ -591,12 +591,44 @@ class TestCheapRejection:
             are_isomorphic(SimpleGraph(("a",), ()), SimpleGraph(("a", "b"), ()), respect_parts=True)
 
 
+def count_nodes(monkeypatch, g, respect_parts):
+    """Search nodes of `canonical_form(g, respect_parts)`, as `_refine` calls."""
+    import circgraph.canonical as canonical_module
+
+    real = canonical_module._refine
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(canonical_module, "_refine", counted)
+    canonical_form(g, respect_parts)
+    monkeypatch.setattr(canonical_module, "_refine", real)
+    return len(calls)
+
+
+def doubling_graph(n, seed):
+    """neighborhood_graph(triangular(n)) under `relabeled`'s seeded labels."""
+    return relabeled(neighborhood_graph(triangular(n)), random.Random(seed))[0]
+
+
+def disjoint_edges(k):
+    """k disjoint edges c{i}_0 -- c{i}_1."""
+    labels = tuple(f"c{i}_{j}" for i in range(k) for j in (0, 1))
+    return SimpleGraph(labels, tuple((f"c{i}_0", f"c{i}_1") for i in range(k)))
+
+
 class TestSearchNodeCounts:
     """The number of search nodes, counted as `_refine` calls: one for the
     root and one per child. Twin pruning leaves one child per node on
     edgeless graphs and on the leaves of a star. Orbit pruning does the work
-    on the plain-mode Paley, strongly regular, CFI and triangular rows. On
-    triangular(12) the search keeps 64 automorphism generators, the cap."""
+    on the plain-mode Paley, strongly regular, CFI and triangular rows. The
+    relabeled doubling graphs (neighborhood graphs of triangular(7) and
+    triangular(8)) and 12 disjoint edges keep their small counts only while
+    every node prunes with all the automorphisms found so far that fix its
+    prefix: keeping at most 64 of them takes 47 707, 421 000 and 8 985
+    nodes there."""
 
     @pytest.mark.parametrize(
         "build, respect_parts, nodes",
@@ -618,6 +650,9 @@ class TestSearchNodeCounts:
             (lambda: cfi(list(combinations(range(5), 2)), 5, {0}), False, 136),
             (lambda: cfi(petersen_edges(), 10, ()), False, 124),
             (lambda: cfi(petersen_edges(), 10, {0}), False, 215),
+            (lambda: doubling_graph(7, 3), False, 461),
+            (lambda: doubling_graph(8, 3), False, 623),
+            (lambda: disjoint_edges(12), False, 505),
         ],
         ids=[
             "triangular8-parts",
@@ -637,21 +672,17 @@ class TestSearchNodeCounts:
             "cfi-k5-twisted",
             "cfi-petersen",
             "cfi-petersen-twisted",
+            "doubling-triangular7-seed3",
+            "doubling-triangular8-seed3",
+            "disjoint-edges12",
         ],
     )
     def test_node_count(self, monkeypatch, build, respect_parts, nodes):
-        import circgraph.canonical as canonical_module
+        assert count_nodes(monkeypatch, build(), respect_parts) == nodes
 
-        real = canonical_module._refine
-        calls = []
-
-        def counted(*args):
-            calls.append(None)
-            return real(*args)
-
-        monkeypatch.setattr(canonical_module, "_refine", counted)
-        canonical_form(build(), respect_parts)
-        assert len(calls) == nodes
+    def test_node_count_barely_depends_on_the_labels(self, monkeypatch):
+        counts = [count_nodes(monkeypatch, doubling_graph(7, seed), False) for seed in range(1, 17)]
+        assert max(counts) <= 4 * min(counts), counts
 
     @pytest.mark.parametrize("n, nodes", [(8, 100), (9, 138), (10, 185)])
     def test_are_isomorphic_node_count(self, monkeypatch, n, nodes):
@@ -734,9 +765,10 @@ class TestDirtyCellRefinement:
 class TestTargetCellOrbits:
     """Each call of `_close` leaves in `covered` exactly the orbit union of
     what it held, as a reference that unions orbits over all n vertices from
-    scratch finds it. The generators it is given fix the node's prefix
-    pointwise, `covered` stays closed under every generator the node has
-    passed so far, and it stays inside the node's target cell."""
+    scratch finds it. The generators it is given fix every position in a
+    singleton cell of the node's partition, which holds its prefix,
+    `covered` stays closed under every generator the node has passed so
+    far, and it stays inside the node's target cell."""
 
     def test_agrees_with_all_vertex_reference(self, monkeypatch):
         import circgraph.canonical as canonical_module
@@ -745,16 +777,17 @@ class TestTargetCellOrbits:
 
         real_children = canonical_module._children
         real_close = canonical_module._close
-        # (prefix, target cell, generators passed to `_close` so far) of the
-        # node whose code is running.
+        # (singleton positions, target cell, generators passed to `_close`
+        # so far) of the node whose code is running.
         running = []
         calls = []
 
-        def tracked(masks, twins, cells, t, prefix, gens):
-            node = real_children(masks, twins, cells, t, prefix, gens)
+        def tracked(masks, twins, cells, t, fixing):
+            node = real_children(masks, twins, cells, t, fixing)
             passed = []
+            singletons = [cell[0] for cell in cell_lists(cells) if len(cell) == 1]
             while True:
-                running.append((prefix, cell_lists(cells)[t], passed))
+                running.append((singletons, cell_lists(cells)[t], passed))
                 child = next(node, None)
                 running.pop()
                 if child is None:
@@ -762,8 +795,8 @@ class TestTargetCellOrbits:
                 yield child
 
         def compared(covered, todo, gens):
-            prefix, target, passed = running[-1]
-            assert all(p[x] == x for p in gens for x in prefix)
+            singletons, target, passed = running[-1]
+            assert all(p[x] == x for p in gens for x in singletons)
             passed += [p for p in gens if p not in passed]
             before = set(covered)
             real_close(covered, todo, gens)
@@ -791,6 +824,25 @@ class TestTargetCellOrbits:
         # Some calls with generators grow `covered`, and some find it closed.
         grown = [added for k, added in calls if k]
         assert any(grown) and not all(grown)
+
+
+class TestCoveredReclosure:
+    """When a node's generator list grows, `covered` is closed again under
+    the whole list, not only under the new generators. On five isolated
+    positions, with (2 3) kept from the start and (0 2) arriving after
+    candidates 0 and 1, 3 joins 0's orbit through 2, which (0 2) alone
+    would not show."""
+
+    def test_whole_list_recloses_covered(self):
+        from circgraph.canonical import _children
+
+        fixing = [(0, 1, 3, 2, 4)]
+        explored = []
+        for _, v in _children([0] * 5, list(range(5)), [0b11111], 0, fixing):
+            explored.append(v)
+            if v == 1:
+                fixing.append((2, 1, 0, 3, 4))
+        assert explored == [0, 1, 4]
 
 
 class TestTwinClasses:
