@@ -177,9 +177,5 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

@@ -6,6 +6,12 @@ Three input schemas, selected by the "format" field:
   graph-v1    {"format": "graph-v1", "vertices": [...], "edges": [[a, b], ...]}
   design-v1   {"format": "design-v1", "points": [...], "blocks": [[...], ...]}
 
+Reading and writing share one schema table, `_SCHEMAS`: each tag names its
+value type and its fields once, in argument order, with the rule every entry
+of a field must meet. `parse_payload` builds the value from the table,
+`payload_to_obj` reads the value's attributes through it, and the
+unknown-tag message lists the table's tags.
+
 Emission is byte-stable: sorted keys, two-space indent, lexicographic vertex
 and edge order, a single trailing newline, and no timestamps. DOT output is
 export-only.
@@ -40,19 +46,11 @@ from .graphs import (
 
 Payload = Union[SimpleGraph, BipartiteGraph, Design]
 
-FORMAT_BIGRAPH = "bigraph-v1"
-FORMAT_GRAPH = "graph-v1"
-FORMAT_DESIGN = "design-v1"
 FORMAT_REPORT = "report-v1"
 
 
 class FileFormatError(GraphError):
     """Malformed input file: bad JSON, missing fields, wrong field shapes."""
-
-
-_LABEL = "a label (nonempty UTF-8 text)"
-_PAIR = "a pair of labels"
-_BLOCK = "a list of labels"
 
 
 def _is_pair(x: Any) -> bool:
@@ -63,8 +61,26 @@ def _is_block(x: Any) -> bool:
     return isinstance(x, list) and all(map(is_label, x))
 
 
-def _list_field(obj: dict, name: str, entry: str, ok: Callable[[Any], bool]) -> list:
-    """The list in field `name`, every entry of which satisfies `ok`."""
+# An entry rule: what each entry of a list field must be, and its test.
+_LABEL = ("a label (nonempty UTF-8 text)", is_label)
+_PAIR = ("a pair of labels", _is_pair)
+_BLOCK = ("a list of labels", _is_block)
+
+# Every input schema, stated once: format tag -> (value type, fields in the
+# type's argument order), each field a (JSON key, attribute, entry rule).
+_SCHEMAS = {
+    "bigraph-v1": (
+        BipartiteGraph,
+        (("u", "part_u", _LABEL), ("w", "part_w", _LABEL), ("edges", "edges", _PAIR)),
+    ),
+    "graph-v1": (SimpleGraph, (("vertices", "vertices", _LABEL), ("edges", "edges", _PAIR))),
+    "design-v1": (Design, (("points", "points", _LABEL), ("blocks", "blocks", _BLOCK))),
+}
+
+
+def _list_field(obj: dict, name: str, rule: tuple[str, Callable[[Any], bool]]) -> list:
+    """The list in field `name`, every entry of which satisfies `rule`."""
+    entry, ok = rule
     value = obj.get(name)
     if not isinstance(value, list):
         raise FileFormatError(f"field {name!r} must be a list, each entry {entry}")
@@ -88,26 +104,17 @@ def parse_payload(text: str) -> Payload:
     if not isinstance(obj, dict):
         raise FileFormatError("top-level JSON value must be an object")
     fmt = obj.get("format")
-    if fmt == FORMAT_BIGRAPH:
-        return BipartiteGraph(
-            _list_field(obj, "u", _LABEL, is_label),
-            _list_field(obj, "w", _LABEL, is_label),
-            _list_field(obj, "edges", _PAIR, _is_pair),
+    # A list or object tag is unhashable: test the type before the lookup.
+    if not isinstance(fmt, str) or fmt not in _SCHEMAS:
+        *known, last = map(repr, _SCHEMAS)
+        raise FileFormatError(
+            f"unknown or missing format tag: {fmt!r} (expected {', '.join(known)}, or {last})"
         )
-    if fmt == FORMAT_GRAPH:
-        return SimpleGraph(
-            _list_field(obj, "vertices", _LABEL, is_label),
-            _list_field(obj, "edges", _PAIR, _is_pair),
-        )
-    if fmt == FORMAT_DESIGN:
-        return Design(
-            _list_field(obj, "points", _LABEL, is_label),
-            _list_field(obj, "blocks", _BLOCK, _is_block),
-        )
-    raise FileFormatError(
-        f"unknown or missing format tag: {fmt!r} "
-        f"(expected {FORMAT_BIGRAPH!r}, {FORMAT_GRAPH!r}, or {FORMAT_DESIGN!r})"
-    )
+    cls, schema = _SCHEMAS[fmt]
+    args = []
+    for key, _, rule in schema:
+        args.append(_list_field(obj, key, rule))
+    return cls(*args)
 
 
 def coerce_bipartite(payload: Payload) -> BipartiteGraph:
@@ -128,24 +135,15 @@ def coerce_graph(payload: Payload) -> Graph:
 
 
 def payload_to_obj(payload: Payload) -> dict:
-    if isinstance(payload, Design):
-        return {
-            "format": FORMAT_DESIGN,
-            "points": list(payload.points),
-            "blocks": [list(b) for b in payload.blocks],
-        }
-    if isinstance(payload, BipartiteGraph):
-        return {
-            "format": FORMAT_BIGRAPH,
-            "u": list(payload.part_u),
-            "w": list(payload.part_w),
-            "edges": [list(e) for e in payload.edges],
-        }
-    return {
-        "format": FORMAT_GRAPH,
-        "vertices": list(payload.vertices),
-        "edges": [list(e) for e in payload.edges],
-    }
+    for tag, (cls, schema) in _SCHEMAS.items():
+        if isinstance(payload, cls):
+            break
+    else:
+        raise TypeError(f"not a graph or design: {payload!r}")
+    obj = {"format": tag}
+    for key, attr, _ in schema:
+        obj[key] = [x if isinstance(x, str) else list(x) for x in getattr(payload, attr)]
+    return obj
 
 
 def dumps_obj(obj: dict) -> str:

@@ -246,6 +246,7 @@ class TestBruteForceOracle:
 class TestLargestGuardedCensus:
     def test_u7_smoke(self):
         entries = enumerate_circular(7)
+        assert len(entries) == 19
         keys = [e.canonical.key for e in entries]
         assert len(set(keys)) == len(keys)
         assert any(e.w_size == 1 for e in entries)

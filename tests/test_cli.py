@@ -554,6 +554,21 @@ class TestErrorHandling:
         assert code == 2
         assert "format" in err
 
+    @pytest.mark.parametrize(
+        "tag",
+        [["bigraph-v1"], {"format": "graph-v1"}, 3, None],
+        ids=["list", "object", "number", "null"],
+    )
+    def test_non_string_format_tag(self, tag, capsys, monkeypatch):
+        text = json.dumps({"format": tag})
+        code, out, err = run_cli(["verify", "-"], capsys, monkeypatch, stdin_text=text)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: unknown or missing format tag: {tag!r} "
+            "(expected 'bigraph-v1', 'graph-v1', or 'design-v1')\n"
+        )
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["check", "/no/such/file.json"], capsys)
         assert code == 2

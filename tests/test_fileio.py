@@ -45,6 +45,17 @@ class TestParse:
         with pytest.raises(FileFormatError, match="bigraph-v1"):
             parse_payload('{"format": "graph-v9"}')
 
+    @pytest.mark.parametrize(
+        "tag",
+        [["bigraph-v1"], {"format": "graph-v1"}, [], 3, None],
+        ids=["list", "object", "empty-list", "number", "null"],
+    )
+    def test_non_string_tag_is_named(self, tag):
+        # Lists and objects are unhashable: the tag is type-checked before lookup.
+        with pytest.raises(FileFormatError, match="unknown or missing format tag") as exc:
+            parse_payload(json.dumps({"format": tag}))
+        assert f"tag: {tag!r} (expected" in str(exc.value)
+
     def test_field_shape_diagnostics(self):
         with pytest.raises(FileFormatError, match="'u'"):
             parse_payload('{"format": "bigraph-v1", "u": "oops", "w": [], "edges": []}')

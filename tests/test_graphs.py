@@ -24,6 +24,7 @@ from circgraph.constructions import star, triangular
 
 from helpers import (
     oracle_bfs,
+    oracle_components,
     oracle_diameter_radius,
     oracle_distance,
     simple_cycles_up_to,
@@ -300,6 +301,20 @@ class TestAllSourcesTable:
         assert idx.layers == per_source
         assert sum(read) == sum(min(f, d) for f, d in steps)
         assert sum(read) < sum(f for f, _ in steps)
+
+
+class TestConnectedComponents:
+    """`connected_components` equals a plain-BFS oracle, order included."""
+
+    @settings(max_examples=80)
+    @given(simple_graphs(max_n=9))
+    def test_simple_graphs(self, g):
+        assert list(connected_components(g)) == oracle_components(g)
+
+    @settings(max_examples=80)
+    @given(bipartite_graphs())
+    def test_bipartite_graphs(self, g):
+        assert list(connected_components(g)) == oracle_components(g)
 
 
 class TestDisjointUnion:
