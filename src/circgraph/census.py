@@ -14,14 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Iterable, Iterator, TypeVar
+from typing import Any, Iterable, Iterator
 
 from .canonical import CanonicalForm, canonical_form
 from .circular import Verdict, classify
 from .constructions import Design, from_design
-from .graphs import BipartiteGraph, Distance, GraphError, SimpleGraph, metric_summary
-
-_G = TypeVar("_G", SimpleGraph, BipartiteGraph)
+from .graphs import BipartiteGraph, Distance, GraphError, metric_summary
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,13 +56,14 @@ def _make_entry(g: BipartiteGraph, canonical: CanonicalForm) -> CensusEntry:
 
 
 def _winners(
-    candidates: Iterable[tuple[Any, _G]], respect_parts: bool
-) -> list[tuple[Any, _G, CanonicalForm]]:
-    """(rank, graph, form) of the least-ranked candidate of each isomorphism
-    class, first seen on ties, in canonical-key order."""
-    winners: dict[tuple, tuple[Any, _G, CanonicalForm]] = {}
+    candidates: Iterable[tuple[Any, BipartiteGraph]],
+) -> list[tuple[Any, BipartiteGraph, CanonicalForm]]:
+    """(rank, graph, form) of the least-ranked candidate of each
+    part-respecting isomorphism class, first seen on ties, in canonical-key
+    order."""
+    winners: dict[tuple, tuple[Any, BipartiteGraph, CanonicalForm]] = {}
     for rank, g in candidates:
-        form = canonical_form(g, respect_parts)
+        form = canonical_form(g, respect_parts=True)
         best = winners.get(form.key)
         if best is None or rank < best[0]:
             winners[form.key] = (rank, g, form)
@@ -73,7 +72,7 @@ def _winners(
 
 def _classes(candidates: Iterable[tuple[Any, BipartiteGraph]]) -> tuple[CensusEntry, ...]:
     """An entry for each part-respecting class winner of `_winners`."""
-    return tuple(_make_entry(g, form) for _, g, form in _winners(candidates, True))
+    return tuple(_make_entry(g, form) for _, g, form in _winners(candidates))
 
 
 def _designs(points: tuple[str, ...]) -> Iterator[Design]:

@@ -264,11 +264,7 @@ def verify_metric_bounds(g: BipartiteGraph) -> CheckReport:
     if trivial:
         ok = summary.diameter == 2 and summary.radius == 1
     else:
-        ok = (
-            isinstance(summary.diameter, int)
-            and 3 <= summary.diameter <= 4
-            and summary.radius == 3
-        )
+        ok = 3 <= summary.diameter <= 4 and summary.radius == 3
     if ok:
         return CheckReport("metric_bounds", CheckStatus.PASS, evidence)
     return CheckReport("metric_bounds", CheckStatus.FAIL, evidence)

@@ -159,7 +159,7 @@ def jsonify(value: Any) -> Any:
 
     A report object is its value's fields: a dataclass value becomes an
     object keyed by its field names. Enums become their values, tuples become
-    lists, and the unreachable-distance sentinel becomes "unreachable". A
+    lists, and `UNREACHABLE` (math.inf) becomes "unreachable". A
     `CanonicalForm` is written as its key (n, u_size, bits), and a graph or
     design in its input schema.
     """

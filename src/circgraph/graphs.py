@@ -11,8 +11,9 @@ come back in that order, so output is byte-stable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property, total_ordering
+from functools import cached_property
 from typing import Any, Iterable, Iterator, Union
 
 
@@ -28,34 +29,12 @@ class BipartiteError(GraphError):
         super().__init__("; ".join(self.violations))
 
 
-@total_ordering
-class _UnreachableType:
-    """Distance between vertices in different components.
+# Distance between vertices in different components: orders above every
+# int, so max/min over eccentricities behave like the graph-theoretic
+# infinity. Library paths return this one object, so `is UNREACHABLE` holds.
+UNREACHABLE = math.inf
 
-    A singleton that compares strictly greater than every int, so max/min
-    over mixed eccentricity values behave like an honest infinity without
-    smuggling in a sentinel integer.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "unreachable"
-
-    def __lt__(self, other):
-        if isinstance(other, (int, _UnreachableType)):
-            return False
-        return NotImplemented
-
-
-UNREACHABLE = _UnreachableType()
-
-Distance = Union[int, _UnreachableType]
+Distance = Union[int, float]
 
 
 def is_label(x: Any) -> bool:
@@ -111,8 +90,12 @@ class GraphIndex:
     more vertices than i has neighbours, so it reads min(|frontier|, degree)
     masks, never more than the per-source BFS would. On the paper's circular
     graphs the early rounds go top-down and the later ones, whose frontiers
-    are large, take the neighbours' way. A source drops out once its
-    frontier is empty or its ball is everything, so the table takes at most
+    are large, take the neighbours' way. A round skips each source whose
+    frontier is empty or whose ball is everything. A source whose ball
+    became everything keeps its last frontier through the next round: a
+    neighbour's eccentricity can be one more than its own, and that
+    neighbour may read the frontier the neighbours' way for its own last
+    level. Rounds stop once no frontier is left, so the table takes at most
     one round more than the largest finite distance. `verify` builds it only
     for graphs that `classify` accepts, whose diameter is at most 4: at most
     5 rounds.
@@ -143,13 +126,15 @@ class GraphIndex:
         table = tuple([1 << i] for i in range(n))
         frontier = [1 << i for i in range(n)]
         unseen = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
-        active = [i for i in range(n) if unseen[i]]
-        while active:
-            # A source that drops out keeps frontier 0 from the next round on.
+        while any(frontier):
+            # A source whose ball became everything last round is skipped but
+            # keeps that last frontier for this round: a neighbour taking the
+            # neighbours' way still reads it. From the next round on it is 0.
             nxt = [0] * n
-            still = []
-            for i in active:
-                f, m = frontier[i], masks[i]
+            for i, f in enumerate(frontier):
+                if not f or not unseen[i]:
+                    continue
+                m = masks[i]
                 reach = 0
                 if f.bit_count() <= m.bit_count():
                     for j in bits(f):
@@ -162,9 +147,7 @@ class GraphIndex:
                     table[i].append(f)
                     nxt[i] = f
                     unseen[i] ^= f
-                    if unseen[i]:
-                        still.append(i)
-            frontier, active = nxt, still
+            frontier = nxt
         return table
 
 

@@ -5,10 +5,11 @@ search, raw loops) so library results are checked against code that shares
 no logic with the implementation under test. Two exceptions reuse library
 code around the part they check. `reference_are_isomorphic` composes two of
 the library's full canonical labelings: the reference for the
-early-stopping second search of `are_isomorphic`. `free_trees` and
-`brute_force_circular_trees` deduplicate and describe with the census's own
-class winner rule and entry code: the reference for the closed-form tree
-census, which they reach by searching every tree.
+early-stopping second search of `are_isomorphic`. `free_trees` keeps the
+first tree of each plain canonical form, and `brute_force_circular_trees`
+deduplicates and describes those trees with the census's own class winner
+rule and entry code: the reference for the closed-form tree census, which
+they reach by searching every tree.
 """
 
 from collections import deque
@@ -17,7 +18,7 @@ from itertools import combinations, permutations
 import random
 
 from circgraph.canonical import IsoCertificate, canonical_form
-from circgraph.census import _classes, _winners
+from circgraph.census import _classes
 from circgraph.circular import (
     CircularClassification,
     Verdict,
@@ -404,20 +405,21 @@ def free_trees(n: int) -> tuple[SimpleGraph, ...]:
     """All free trees on n vertices up to isomorphism, labels v0..v(n-1).
 
     Grown by leaf attachment from the trees on n-1 vertices and deduplicated
-    by canonical form; every tree arises because removing any leaf of it
-    lands on a smaller representative.
+    by canonical form, keeping the first tree of each form, in key order;
+    every tree arises because removing any leaf of it lands on a smaller
+    representative.
     """
     if not 1 <= n <= 12:
         raise GraphError(f"tree size must be between 1 and 12: got {n}")
     if n == 1:
         return (SimpleGraph(("v0",), ()),)
     new = f"v{n - 1}"
-    grown = (
-        SimpleGraph(t.vertices + (new,), t.edges + ((v, new),))
-        for t in free_trees(n - 1)
-        for v in t.vertices
-    )
-    return tuple(g for _, g, _ in _winners(enumerate(grown), False))
+    first: dict[tuple, SimpleGraph] = {}
+    for t in free_trees(n - 1):
+        for v in t.vertices:
+            g = SimpleGraph(t.vertices + (new,), t.edges + ((v, new),))
+            first.setdefault(canonical_form(g).key, g)
+    return tuple(first[key] for key in sorted(first))
 
 
 def _tree_bipartition(tree: SimpleGraph) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -1,5 +1,7 @@
 """Exhaustive enumeration: circular censuses, circular trees, oracle agreement."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -9,8 +11,10 @@ from circgraph import census, circular
 from circgraph.canonical import are_isomorphic, canonical_form
 from circgraph.census import enumerate_circular, enumerate_circular_trees
 from circgraph.circular import CheckStatus, Verdict, classify, run_all_checks
+from circgraph.cli import main
 from circgraph.constructions import neighborhood_graph, star, triangular
-from circgraph.graphs import BipartiteGraph, GraphError, SimpleGraph, disjoint_union, metric_summary
+from circgraph.fileio import coerce_bipartite, parse_payload
+from circgraph.graphs import BipartiteGraph, GraphError, disjoint_union, metric_summary
 
 from helpers import (
     brute_force_circular_trees,
@@ -185,35 +189,37 @@ class TestCircularTrees:
 
 class TestWinners:
     """The one rule that keeps a class winner, shared by both censuses and
-    the test oracle `helpers.free_trees`."""
+    the test oracle `helpers.brute_force_circular_trees`."""
 
     @staticmethod
-    def path(labels):
-        return SimpleGraph(tuple(labels), tuple(zip(labels, labels[1:])))
+    def star(centre, leaves):
+        """K1,m with the leaves as points and the centre as the circle."""
+        return BipartiteGraph(tuple(leaves), (centre,), tuple((v, centre) for v in leaves))
 
     def test_least_rank_wins_first_seen_on_ties_in_key_order(self):
-        edge_a, edge_b = self.path("ab"), self.path("xy")
-        path_a, path_b = self.path("abc"), self.path("cab")
-        triangle = SimpleGraph(("a", "b", "c"), (("a", "b"), ("a", "c"), ("b", "c")))
-        candidates = [(9, triangle), (5, edge_a), (3, path_a), (2, edge_b), (3, path_b)]
-        winners = census._winners(candidates, False)
+        edge_a, edge_b = self.star("b", "a"), self.star("y", "x")
+        path_a, path_b = self.star("b", "ac"), self.star("a", "cb")
+        square = BipartiteGraph(
+            ("a", "c"), ("b", "d"), (("a", "b"), ("c", "b"), ("c", "d"), ("a", "d"))
+        )
+        candidates = [(9, square), (5, edge_a), (3, path_a), (2, edge_b), (3, path_b)]
+        winners = census._winners(candidates)
         # A later, smaller rank replaces edge_a; path_b ties and keeps path_a.
         assert [(rank, g) for rank, g, _ in winners] == sorted(
-            [(2, edge_b), (3, path_a), (9, triangle)],
-            key=lambda pair: canonical_form(pair[1]).key,
+            [(2, edge_b), (3, path_a), (9, square)],
+            key=lambda pair: canonical_form(pair[1], respect_parts=True).key,
         )
         keys = [form.key for _, _, form in winners]
         assert keys == sorted(keys)
         for _, g, form in winners:
-            assert form.key == canonical_form(g).key
+            assert form.key == canonical_form(g, respect_parts=True).key
 
     def test_respect_parts_separates_the_orientations(self):
         # K_{1,2} with the centre as the point, and with the centre as the circle.
         one_point = BipartiteGraph(("c",), ("l1", "l2"), (("c", "l1"), ("c", "l2")))
         two_points = BipartiteGraph(("l1", "l2"), ("c",), (("c", "l1"), ("c", "l2")))
         candidates = [(1, one_point), (0, two_points)]
-        assert [g for _, g, _ in census._winners(candidates, False)] == [two_points]
-        parted = census._winners(candidates, True)
+        parted = census._winners(candidates)
         assert {g for _, g, _ in parted} == {one_point, two_points}
         assert [form.key for _, _, form in parted] == sorted(
             canonical_form(g, respect_parts=True).key for g in (one_point, two_points)
@@ -244,16 +250,24 @@ class TestBruteForceOracle:
 
 @pytest.mark.slow
 class TestLargestGuardedCensus:
-    def test_u7_smoke(self):
-        entries = enumerate_circular(7)
+    # sha256 of the exact stdout of `enum circular --u 7`.
+    U7_SHA256 = "9323c274d61e94b47179445096176dc67db9cc8329f5bc69c91dff8c932a8247"
+
+    def test_u7_smoke(self, capsys):
+        # One census run: the pinned stdout, then the entries rebuilt from it.
+        assert main(["enum", "circular", "--u", "7"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.U7_SHA256
+        entries = json.loads(out)["census"]
         assert len(entries) == 19
-        keys = [e.canonical.key for e in entries]
+        keys = [tuple(sorted(e["canonical"].items())) for e in entries]
         assert len(set(keys)) == len(keys)
-        assert any(e.w_size == 1 for e in entries)
+        assert any(e["w_size"] == 1 for e in entries)
+        graphs = [coerce_bipartite(parse_payload(json.dumps(e["graph"]))) for e in entries]
         assert any(
-            are_isomorphic(e.graph, triangular(7), respect_parts=True).isomorphic
-            for e in entries
-            if e.w_size == 35
+            are_isomorphic(g, triangular(7), respect_parts=True).isomorphic
+            for g, e in zip(graphs, entries)
+            if e["w_size"] == 35
         )
-        for entry in entries:
-            assert brute_force_classify(entry.graph).verdict is entry.verdict
+        for g, e in zip(graphs, entries):
+            assert brute_force_classify(g).verdict is Verdict(e["verdict"])

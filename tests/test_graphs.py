@@ -1,5 +1,7 @@
 """Core graph values, metrics, and neighborhood queries."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -271,8 +273,15 @@ class TestAllSourcesTable:
             disjoint_union(triangular(4), path_graph(["a", "b", "c", "d"])),
             path_graph([f"v{i:02d}" for i in range(30)]),
             clique_with_tail(8, 8),
+            # K1,3 with a pendant vertex e off leaf a. Leaf b reads, the
+            # neighbours' way, the last frontier {e} of the centre c, whose
+            # ball became everything the round before.
+            SimpleGraph(
+                ("a", "b", "c", "d", "e"),
+                (("a", "c"), ("b", "c"), ("c", "d"), ("a", "e")),
+            ),
         ],
-        ids=["empty", "isolated", "disconnected", "path30", "k8_tail8"],
+        ids=["empty", "isolated", "disconnected", "path30", "k8_tail8", "k13_pendant"],
     )
     def test_hand_cases(self, g):
         assert_table_is_bfs(g)
@@ -379,6 +388,5 @@ class TestUnreachableSentinel:
         assert max([3, UNREACHABLE, 7]) is UNREACHABLE
         assert min([3, UNREACHABLE]) == 3
 
-    def test_singleton_and_repr(self):
-        assert repr(UNREACHABLE) == "unreachable"
-        assert UNREACHABLE is type(UNREACHABLE)()
+    def test_is_math_inf(self):
+        assert UNREACHABLE is math.inf
