@@ -4,8 +4,9 @@
 Usage:
     python scripts/survey_checks.py
 
-Surveys the stars on 4 to 20 vertices, triangular(3) to triangular(12), the
-circular censuses for 3 to 6 points and the tree census up to 10 vertices.
+Surveys the stars on 4 to 63 vertices (up to 62 points, the largest star the
+benchmark verifies), triangular(3) to triangular(12), the circular censuses
+for 3 to 6 points and the tree census up to 10 vertices.
 Prints one row per graph with its classification, the status of each check,
 the measured diameter/radius and the milliseconds spent in `classify` plus
 `run_all_checks`, then a summary line with the total time. A census graph
@@ -30,7 +31,7 @@ from circgraph import (
 )
 from circgraph.circular import CheckStatus
 
-MAX_STAR = 20
+MAX_STAR = 63
 MAX_TRIANGULAR = 12
 CENSUS_MAX = 6
 TREES_MAX = 10

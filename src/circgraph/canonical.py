@@ -90,7 +90,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .graphs import BipartiteGraph, Graph, GraphError, bits
+from .graphs import BipartiteGraph, Graph, GraphError, _counts, _split, bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,40 +127,6 @@ class IsoCertificate:
 
     isomorphic: bool
     mapping: Optional[Mapping[str, str]] = None
-
-
-def _counts(masks: Sequence[int], piece: int) -> list[int]:
-    # Bit-sliced neighbour counts into `piece`: slice i holds bit i of every
-    # position's count, summed by ripple-carry addition of the members' masks.
-    slices: list[int] = []
-    while piece:
-        low = piece & -piece
-        piece ^= low
-        carry = masks[low.bit_length() - 1]
-        for i, s in enumerate(slices):
-            slices[i] = s ^ carry
-            carry &= s
-            if not carry:
-                break
-        else:
-            slices.append(carry)
-    return slices
-
-
-def _split(groups: list[int], slices: list[int]) -> list[int]:
-    # Each group's members by count, larger counts first, the groups keeping
-    # their order: each slice, most significant first, puts a group's set
-    # members ahead of the rest.
-    for s in reversed(slices):
-        out = []
-        for g in groups:
-            high = g & s
-            if high and high != g:
-                out += (high, g ^ high)
-            else:
-                out.append(g)
-        groups = out
-    return groups
 
 
 def _refine(

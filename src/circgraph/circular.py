@@ -6,6 +6,16 @@ least three. The checks here verify, on a concrete instance, the facts that
 follow from those two axioms: the bound on common neighbors of circle pairs,
 point degrees, the distance profile, and the diameter/radius values.
 
+Circularity is decided by counting. When every circle has degree at least
+three, the graph is circular exactly when no two circles share three points
+and the circles' C(deg, 3) add up to C(u, 3). With no three points shared,
+each triple lies on at most one circle, so the sum counts the covered
+triples, and it is C(u, 3) exactly when each triple is covered once; the
+converse is immediate. The most points two circles share comes from one
+bit-sliced pass per circle (`GraphIndex.overlap`), which
+`verify_w_pair_bound` reports from too. Only a graph that fails the
+identity has its point triples scanned, for the witness.
+
 Each check takes only the graph and works out for itself whether it
 applies, from `classify`. The verdict is computed once per graph value and
 kept while the graph lives, so a caller that classifies and then runs every
@@ -18,6 +28,7 @@ import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
+from math import comb
 from typing import Any, Optional
 
 from .graphs import (
@@ -108,9 +119,14 @@ _VERDICTS: weakref.WeakKeyDictionary[GraphIndex, CircularClassification] = (
 def classify(g: BipartiteGraph) -> CircularClassification:
     """Decide NotCircular / TrivialCircular / NonTrivialCircular.
 
-    Circle degrees are checked first, then point triples in lexicographic
-    order; the first violation found becomes the witness. A trivial verdict
-    is the star with its center among the circles and at least three leaves.
+    Circle degrees are checked first. With every circle of degree >= 3 the
+    graph is circular exactly when no two circles share three points and
+    the circles' C(deg, 3) sum to C(u, 3): each triple then lies on at most
+    one circle, so the sum counts the covered triples. Only when that fails
+    are the point triples scanned in lexicographic order, and the first
+    failing triple becomes the witness, as the full scan would find it. A
+    trivial verdict is the star with its center among the circles and at
+    least three leaves.
     The verdict is computed on the first call for a graph value; later calls
     return the same object.
     """
@@ -125,6 +141,7 @@ def _classify(g: BipartiteGraph, idx: GraphIndex) -> CircularClassification:
     m = idx.masks
     vacuous = len(g.part_u) < 3
     note = SINGLE_POINT_NOTE if len(g.part_u) == 1 and g.part_w else None
+    covered = 0
     for w in bits(idx.circles):
         d = m[w].bit_count()
         if d < 3:
@@ -134,18 +151,11 @@ def _classify(g: BipartiteGraph, idx: GraphIndex) -> CircularClassification:
                 vacuous,
                 note,
             )
-    for x, y, z in combinations(bits(idx.points), 3):
-        c = (m[x] & m[y] & m[z]).bit_count()
-        if c != 1:
-            kind = (
-                ViolationKind.TRIPLE_UNCOVERED
-                if c == 0
-                else ViolationKind.TRIPLE_OVERCOVERED
-            )
-            triple = (idx.labels[x], idx.labels[y], idx.labels[z])
-            return CircularClassification(
-                Verdict.NOT_CIRCULAR, Violation(kind, triple, c), vacuous, note
-            )
+        covered += comb(d, 3)
+    if covered != comb(len(g.part_u), 3) or idx.overlap[0] > 2:
+        return CircularClassification(
+            Verdict.NOT_CIRCULAR, _first_bad_triple(idx), vacuous, note
+        )
     if len(g.part_w) >= 2:
         return CircularClassification(Verdict.NON_TRIVIAL_CIRCULAR, None, vacuous, note)
     if len(g.part_w) == 1 and len(g.part_u) >= 3:
@@ -158,6 +168,21 @@ def _classify(g: BipartiteGraph, idx: GraphIndex) -> CircularClassification:
     )
 
 
+def _first_bad_triple(idx: GraphIndex) -> Optional[Violation]:
+    # The first point triple, in lexicographic order, not on exactly one circle.
+    m = idx.masks
+    for x, y, z in combinations(bits(idx.points), 3):
+        c = (m[x] & m[y] & m[z]).bit_count()
+        if c != 1:
+            kind = (
+                ViolationKind.TRIPLE_UNCOVERED
+                if c == 0
+                else ViolationKind.TRIPLE_OVERCOVERED
+            )
+            return Violation(kind, (idx.labels[x], idx.labels[y], idx.labels[z]), c)
+    return None
+
+
 def _not_applicable(check: str, requirement: str, cls: CircularClassification) -> CheckReport:
     return CheckReport(
         check,
@@ -167,19 +192,21 @@ def _not_applicable(check: str, requirement: str, cls: CircularClassification) -
 
 
 def verify_w_pair_bound(g: BipartiteGraph) -> CheckReport:
-    """Check cn(w1, w2) <= 2 over every unordered pair of circles."""
+    """Check cn(w1, w2) <= 2 over every unordered pair of circles.
+
+    `max_cn` and `max_pair`, the first pair in label order that reaches it,
+    come from `GraphIndex.overlap`, the pass that `classify` reads for its
+    counting identity: circles of degree >= 3, no two sharing three points,
+    with C(deg, 3) summing to C(u, 3), cover each point triple exactly once,
+    since each triple lies on at most one circle and the sum counts the
+    covered ones. On a circular graph the evidence is already computed.
+    """
     cls = classify(g)
     if not cls.is_circular:
         return _not_applicable("w_pair_bound", "a circular graph", cls)
     idx = g.index
-    m = idx.masks
-    max_cn = 0
-    max_pair: tuple[str, str] | None = None
-    for x, y in combinations(bits(idx.circles), 2):
-        c = (m[x] & m[y]).bit_count()
-        if c > max_cn:
-            max_cn = c
-            max_pair = (idx.labels[x], idx.labels[y])
+    max_cn, pair = idx.overlap
+    max_pair = None if pair is None else tuple(idx.labels[i] for i in pair)
     count = len(g.part_w) * (len(g.part_w) - 1) // 2
     evidence: dict[str, Any] = {"max_cn": max_cn, "pair_count": count}
     if max_pair is not None:

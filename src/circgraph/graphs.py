@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Iterator, Union
+from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
 
 class GraphError(ValueError):
@@ -71,6 +71,40 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _counts(masks: Sequence[int], piece: int) -> list[int]:
+    # Bit-sliced neighbour counts into `piece`: slice i holds bit i of every
+    # position's count, summed by ripple-carry addition of the members' masks.
+    slices: list[int] = []
+    while piece:
+        low = piece & -piece
+        piece ^= low
+        carry = masks[low.bit_length() - 1]
+        for i, s in enumerate(slices):
+            slices[i] = s ^ carry
+            carry &= s
+            if not carry:
+                break
+        else:
+            slices.append(carry)
+    return slices
+
+
+def _split(groups: list[int], slices: list[int]) -> list[int]:
+    # Each group's members by count, larger counts first, the groups keeping
+    # their order: each slice, most significant first, puts a group's set
+    # members ahead of the rest.
+    for s in reversed(slices):
+        out = []
+        for g in groups:
+            high = g & s
+            if high and high != g:
+                out += (high, g ^ high)
+            else:
+                out.append(g)
+        groups = out
+    return groups
+
+
 @dataclass(frozen=True, eq=False)
 class GraphIndex:
     """Integer view of a graph, shared by every layer.
@@ -99,6 +133,22 @@ class GraphIndex:
     one round more than the largest finite distance. `verify` builds it only
     for graphs that `classify` accepts, whose diameter is at most 4: at most
     5 rounds.
+
+    `overlap` is the largest number of neighbours two circle positions share
+    (any two positions of a simple graph) with the first pair, in ascending
+    position order, that reaches it; the pair is None when no two share a
+    neighbour. It is computed once per graph, in one pass per circle x:
+    `_counts(masks, masks[x])` holds, bit-sliced, each position's number of
+    neighbours among x's points, which for a circle y is the number of
+    points x and y share. Among the circles after x, the slices read from
+    the most significant one narrow the candidates to those with each bit
+    set, where any has it; what remains are the circles that share most
+    with x, and the first of them pairs with x. The pass sums each circle's
+    point masks once instead of intersecting all C(w, 2) circle pairs.
+    It serves the counting identity of `circular.classify`: when circles
+    have degree >= 3 and no two share three points, each point triple lies
+    on at most one circle, so the sum over circles of C(deg, 3) counts the
+    covered triples and the graph is circular exactly when it is C(u, 3).
     """
 
     labels: tuple[str, ...]
@@ -149,6 +199,26 @@ class GraphIndex:
                     unseen[i] ^= f
             frontier = nxt
         return table
+
+    @cached_property
+    def overlap(self) -> tuple[int, Optional[tuple[int, int]]]:
+        masks = self.masks
+        circles = self.circles
+        best, pair = 0, None
+        for x in bits(circles):
+            slices = _counts(masks, masks[x])
+            # The largest count among the circles after x, and who reaches it.
+            ahead = circles >> (x + 1) << (x + 1)
+            cn = 0
+            for s in reversed(slices):
+                cn <<= 1
+                hit = ahead & s
+                if hit:
+                    ahead = hit
+                    cn |= 1
+            if cn > best:
+                best, pair = cn, (x, (ahead & -ahead).bit_length() - 1)
+        return best, pair
 
 
 class _Indexed:

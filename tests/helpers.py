@@ -257,6 +257,47 @@ def relabeled(g, rng: random.Random):
     return SimpleGraph(tuple(mapping[v] for v in g.vertices), edges), mapping
 
 
+PERTURBATIONS = ("drop", "add", "merge", "duplicate")
+
+
+def perturbed(g: BipartiteGraph, rng: random.Random, kind: str):
+    """g with one seeded change of the given kind, or None where it has none.
+
+    drop removes an incidence, add joins a point to a circle missing it,
+    merge joins a circle's points into another circle and removes it, and
+    duplicate adds a copy of a circle under a fresh label.
+    """
+    edges = list(g.edges)
+    if kind == "drop":
+        if not edges:
+            return None
+        edges.remove(rng.choice(edges))
+        return BipartiteGraph(g.part_u, g.part_w, tuple(edges))
+    points = {w: sorted(u for u, x in edges if x == w) for w in g.part_w}
+    if kind == "add":
+        missing = [(u, w) for w in g.part_w for u in g.part_u if u not in points[w]]
+        if not missing:
+            return None
+        return BipartiteGraph(g.part_u, g.part_w, tuple(edges + [rng.choice(missing)]))
+    if kind == "merge":
+        if len(g.part_w) < 2:
+            return None
+        keep, gone = rng.sample(g.part_w, 2)
+        merged = {(u, keep if w == gone else w) for u, w in edges}
+        return BipartiteGraph(
+            g.part_u, tuple(w for w in g.part_w if w != gone), tuple(merged)
+        )
+    if not g.part_w:
+        return None
+    w = rng.choice(g.part_w)
+    copy = w + "'"
+    while copy in g.part_u or copy in g.part_w:
+        copy += "'"
+    return BipartiteGraph(
+        g.part_u, g.part_w + (copy,), tuple(edges + [(u, copy) for u in points[w]])
+    )
+
+
 def dumb_circular_families(u_size):
     """Powerset filter over all block families; cross-check for the census.
 

@@ -23,9 +23,18 @@ from circgraph.circular import (
     verify_w_pair_bound,
 )
 from circgraph.graphs import UNREACHABLE, BipartiteGraph, common_neighbors
+from circgraph.census import enumerate_circular
 from circgraph.constructions import derive_linear, star, triangular
 
-from helpers import oracle_bfs, oracle_distance, random_bipartite, relabeled
+from helpers import (
+    PERTURBATIONS,
+    brute_force_classify,
+    oracle_bfs,
+    oracle_distance,
+    perturbed,
+    random_bipartite,
+    relabeled,
+)
 from strategies import bipartite_graphs
 
 
@@ -45,6 +54,34 @@ def six_cycle_bipartite():
 
 def p4_bipartite():
     return BipartiteGraph(("a", "c"), ("b", "d"), (("a", "b"), ("c", "b"), ("c", "d")))
+
+
+def fresh(g):
+    """An equal graph value with its own index, so nothing is cached on it."""
+    return BipartiteGraph(g.part_u, g.part_w, g.edges)
+
+
+def circular_corpus():
+    """Circular graphs of every shape the census knows: the triangular
+    family, stars, and every census class for 3 to 6 points."""
+    graphs = [triangular(n) for n in range(3, 9)]
+    graphs += [star(n) for n in (4, 5, 6, 10, 21)]
+    for u in range(3, 7):
+        graphs += [fresh(entry.graph) for entry in enumerate_circular(u)]
+    return graphs
+
+
+def raw_w_pair_evidence(g):
+    """`w_pair_bound` evidence by a raw loop over circle pairs in label order."""
+    max_cn, max_pair = 0, None
+    for w1, w2 in combinations(g.part_w, 2):
+        c = len(g.neighbors(w1) & g.neighbors(w2))
+        if c > max_cn:
+            max_cn, max_pair = c, (w1, w2)
+    evidence = {"max_cn": max_cn, "pair_count": len(g.part_w) * (len(g.part_w) - 1) // 2}
+    if max_pair is not None:
+        evidence["max_pair"] = max_pair
+    return evidence, max_pair
 
 
 class TestClassify:
@@ -119,6 +156,56 @@ class TestClassify:
         random.Random(11).shuffle(shuffled)
         h = BipartiteGraph(g.part_u, g.part_w, tuple(shuffled))
         assert classify(h) == classify(g)
+
+
+class TestCountingIdentity:
+    """`classify` decides circular inputs by the identity sum C(deg, 3) =
+    C(u, 3) with no two circles sharing three points, and scans triples only
+    for a witness. Random graphs almost never satisfy the count, so these
+    inputs are circular graphs and small perturbations of them."""
+
+    def test_agrees_with_brute_force_on_circular_graphs(self):
+        for g in circular_corpus():
+            assert classify(g).is_circular
+            assert brute_force_classify(g) == classify(g)
+
+    @pytest.mark.parametrize("kind", PERTURBATIONS)
+    def test_agrees_with_brute_force_on_perturbations(self, kind):
+        rng = random.Random(f"counting-{kind}")
+        tried = 0
+        for g in circular_corpus():
+            for _ in range(3):
+                h = perturbed(g, rng, kind)
+                if h is not None:
+                    tried += 1
+                    assert brute_force_classify(h) == classify(h)
+        assert tried >= 30
+
+    def test_count_matches_but_two_circles_share_three_points(self):
+        # Four circles of three points on four points: the count is C(4, 3),
+        # but a and b are one triple twice and the triple 2, 3, 4 is uncovered.
+        circles = {"a": "123", "b": "123", "c": "124", "d": "134"}
+        edges = tuple((p, w) for w, ps in circles.items() for p in ps)
+        g = BipartiteGraph(("1", "2", "3", "4"), tuple(circles), edges)
+        cls = classify(g)
+        assert cls.verdict is Verdict.NOT_CIRCULAR
+        assert cls.witness.kind is ViolationKind.TRIPLE_OVERCOVERED
+        assert cls.witness.vertices == ("1", "2", "3")
+        assert cls.witness.detail == 2
+        assert brute_force_classify(g) == cls
+
+    def test_circular_inputs_never_scan_triples(self, monkeypatch):
+        def scan(idx):
+            raise AssertionError("triple scan on a circular input")
+
+        monkeypatch.setattr(circular, "_first_bad_triple", scan)
+        graphs = [triangular(9), star(60)]
+        graphs += [fresh(entry.graph) for entry in enumerate_circular(6)]
+        for g in graphs:
+            assert classify(g).is_circular
+        # The patch is live: an input failing the count reaches the scan.
+        with pytest.raises(AssertionError, match="triple scan"):
+            classify(k_uw(3, 2))
 
 
 class TestVerdictOwnedByChecks:
@@ -197,6 +284,35 @@ class TestWPairBound:
         assert report.status is CheckStatus.FAIL
         assert report.evidence == {"max_cn": 3, "pair_count": 3, "max_pair": ("w2", "w3")}
         assert report.counterexample == ("w2", "w3")
+
+    def test_evidence_matches_raw_loop_on_circular_graphs(self):
+        for g in circular_corpus():
+            report = verify_w_pair_bound(g)
+            assert report.status is CheckStatus.PASS
+            assert report.evidence == raw_w_pair_evidence(g)[0]
+
+    def test_evidence_matches_raw_loop_on_random_graphs(self, monkeypatch):
+        # Forced verdict as in test_fail_names_the_max_pair. Ties for the
+        # largest count are common here: the first pair in label order wins.
+        forced = CircularClassification(Verdict.NON_TRIVIAL_CIRCULAR, None, False)
+        monkeypatch.setattr(circular, "classify", lambda g: forced)
+        rng = random.Random(2207)
+        tied = 0
+        for _ in range(300):
+            g = random_bipartite(rng, 7)
+            evidence, max_pair = raw_w_pair_evidence(g)
+            report = verify_w_pair_bound(g)
+            assert report.evidence == evidence
+            if evidence["max_cn"] > 2:
+                assert report.status is CheckStatus.FAIL
+                assert report.counterexample == max_pair
+            else:
+                assert report.status is CheckStatus.PASS
+            shared = [
+                len(g.neighbors(a) & g.neighbors(b)) for a, b in combinations(g.part_w, 2)
+            ]
+            tied += shared.count(evidence["max_cn"]) > 1 and evidence["max_cn"] > 0
+        assert tied > 50
 
 
 class TestPointDegrees:
@@ -396,4 +512,21 @@ class TestRunAllChecks:
 
         monkeypatch.setattr(graphs.GraphIndex, "layers", Counting())
         run_all_checks(triangular(6))
+        assert len(builds) == 1
+
+    def test_one_overlap_pass_per_graph(self, monkeypatch):
+        # `classify` and `w_pair_bound` read one shared circle-overlap pass;
+        # counted as test_one_bfs_per_vertex counts the BFS table.
+        builds = []
+        overlap = graphs.GraphIndex.__dict__["overlap"]
+
+        class Counting:
+            def __get__(self, index, owner=None):
+                builds.append(index)
+                return overlap.__get__(index, owner)
+
+        monkeypatch.setattr(graphs.GraphIndex, "overlap", Counting())
+        g = triangular(8)
+        classify(g)
+        run_all_checks(g)
         assert len(builds) == 1
