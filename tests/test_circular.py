@@ -81,7 +81,7 @@ def raw_w_pair_evidence(g):
     evidence = {"max_cn": max_cn, "pair_count": len(g.part_w) * (len(g.part_w) - 1) // 2}
     if max_pair is not None:
         evidence["max_pair"] = max_pair
-    return evidence, max_pair
+    return evidence
 
 
 class TestClassify:
@@ -289,7 +289,7 @@ class TestWPairBound:
         for g in circular_corpus():
             report = verify_w_pair_bound(g)
             assert report.status is CheckStatus.PASS
-            assert report.evidence == raw_w_pair_evidence(g)[0]
+            assert report.evidence == raw_w_pair_evidence(g)
 
     def test_evidence_matches_raw_loop_on_random_graphs(self, monkeypatch):
         # Forced verdict as in test_fail_names_the_max_pair. Ties for the
@@ -300,12 +300,12 @@ class TestWPairBound:
         tied = 0
         for _ in range(300):
             g = random_bipartite(rng, 7)
-            evidence, max_pair = raw_w_pair_evidence(g)
+            evidence = raw_w_pair_evidence(g)
             report = verify_w_pair_bound(g)
             assert report.evidence == evidence
             if evidence["max_cn"] > 2:
                 assert report.status is CheckStatus.FAIL
-                assert report.counterexample == max_pair
+                assert report.counterexample == evidence["max_pair"]
             else:
                 assert report.status is CheckStatus.PASS
             shared = [
