@@ -84,6 +84,44 @@ def raw_w_pair_evidence(g):
     return evidence
 
 
+def raw_first_unmet(g, t):
+    """The first t-set of points in label order not on exactly one circle, by
+    a raw loop with a running count: (its rank, the set, its circle count),
+    or (the number of sets, None, None) when every set passes."""
+    count = 0
+    for points in combinations(g.part_u, t):
+        count += 1
+        c = len(frozenset.intersection(*(g.neighbors(p) for p in points)))
+        if c != 1:
+            return count, points, c
+    return count, None, None
+
+
+def perturbed_copies(graphs):
+    """Each graph with every seeded perturbation of it (seeds 1 to 3)."""
+    out = list(graphs)
+    for g in graphs:
+        for seed in (1, 2, 3):
+            for kind in PERTURBATIONS:
+                h = perturbed(g, random.Random(seed), kind)
+                if h is not None:
+                    out.append(h)
+    return out
+
+
+def unmet_corpus():
+    """Circular graphs, the linear graphs derived from triangular(5..8) at
+    every pivot, and seeded perturbations of both."""
+    graphs = [triangular(n) for n in range(4, 9)]
+    graphs += [star(n) for n in (4, 5, 6, 10, 21)]
+    for u in range(3, 7):
+        graphs += [fresh(entry.graph) for entry in enumerate_circular(u)]
+    for n in range(5, 9):
+        g = triangular(n)
+        graphs += [derive_linear(g, p) for p in g.part_u]
+    return perturbed_copies(graphs)
+
+
 class TestClassify:
     def test_star_is_trivial(self):
         cls = classify(star(5))
@@ -206,6 +244,78 @@ class TestCountingIdentity:
         # The patch is live: an input failing the count reaches the scan.
         with pytest.raises(AssertionError, match="triple scan"):
             classify(k_uw(3, 2))
+
+
+def assert_triple_witness_is_first_unmet(g):
+    cls = classify(g)
+    if cls.witness is not None and cls.witness.kind in (
+        ViolationKind.CIRCLE_DEGREE_TOO_SMALL,
+        ViolationKind.PART_ERROR,
+    ):
+        return
+    _, triple, c = raw_first_unmet(g, 3)
+    if triple is None:
+        assert cls.witness is None
+        return
+    kind = ViolationKind.TRIPLE_UNCOVERED if c == 0 else ViolationKind.TRIPLE_OVERCOVERED
+    assert (cls.witness.kind, cls.witness.vertices, cls.witness.detail) == (kind, triple, c)
+
+
+def assert_pair_evidence_is_first_unmet(g):
+    report = check_linear_axioms(g)
+    rank, pair, c = raw_first_unmet(g, 2)
+    if pair is None:
+        assert report.evidence["pair_count"] == rank
+        assert "pair_cn" not in report.evidence
+    else:
+        assert report.status is CheckStatus.FAIL
+        assert report.evidence == {"pair_cn": c, "pair_count": rank}
+        assert report.counterexample == pair
+
+
+class TestFirstUnmetSet:
+    """`classify`'s triple witness and `check_linear_axioms`'s pair evidence
+    name the first point set, in label order, not on exactly one circle, as a
+    raw loop over `part_u` finds it."""
+
+    @settings(max_examples=80)
+    @given(bipartite_graphs())
+    def test_random_graphs(self, g):
+        assert_triple_witness_is_first_unmet(g)
+        assert_pair_evidence_is_first_unmet(g)
+
+    def test_circular_linear_and_perturbed_graphs(self):
+        graphs = unmet_corpus()
+        triples = pairs = 0
+        for g in graphs:
+            assert_triple_witness_is_first_unmet(g)
+            assert_pair_evidence_is_first_unmet(g)
+            witness = classify(g).witness
+            triples += witness is not None and witness.kind in (
+                ViolationKind.TRIPLE_UNCOVERED,
+                ViolationKind.TRIPLE_OVERCOVERED,
+            )
+            pairs += check_linear_axioms(g).status is CheckStatus.PASS
+        # Both branches of both scans are reached.
+        assert triples >= 50 and pairs >= 26
+
+    def test_pair_fail_names_its_rank(self):
+        g = BipartiteGraph(
+            ("1", "2", "3"), ("a", "b"), (("1", "a"), ("2", "a"), ("2", "b"), ("3", "b"))
+        )
+        report = check_linear_axioms(g)
+        assert report.status is CheckStatus.FAIL
+        assert report.evidence == {"pair_cn": 0, "pair_count": 2}
+        assert report.counterexample == ("1", "3")
+
+    def test_last_triple_overcovered(self):
+        circles = {"a": "123456", "b": "456"}
+        edges = tuple((p, w) for w, ps in circles.items() for p in ps)
+        g = BipartiteGraph(tuple("123456"), tuple(circles), edges)
+        cls = classify(g)
+        assert cls.witness.kind is ViolationKind.TRIPLE_OVERCOVERED
+        assert cls.witness.vertices == ("4", "5", "6")
+        assert cls.witness.detail == 2
 
 
 class TestVerdictOwnedByChecks:
