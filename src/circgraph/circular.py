@@ -14,7 +14,9 @@ triples, and it is C(u, 3) exactly when each triple is covered once; the
 converse is immediate. The most points two circles share comes from one
 bit-sliced pass per circle (`GraphIndex.overlap`), which
 `verify_w_pair_bound` reports from too. Only a graph that fails the
-identity has its point triples scanned, for the witness.
+identity has its point triples scanned, for the witness. One scan
+(`_first_unmet`) finds the first point set, in label order, not on exactly
+one circle: triples for `classify`, pairs for `check_linear_axioms`.
 
 Each check takes only the graph and works out for itself whether it
 applies, from `classify`. The verdict is computed once per graph value and
@@ -123,10 +125,10 @@ def classify(g: BipartiteGraph) -> CircularClassification:
     graph is circular exactly when no two circles share three points and
     the circles' C(deg, 3) sum to C(u, 3): each triple then lies on at most
     one circle, so the sum counts the covered triples. Only when that fails
-    are the point triples scanned in lexicographic order, and the first
-    failing triple becomes the witness, as the full scan would find it. A
-    trivial verdict is the star with its center among the circles and at
-    least three leaves.
+    are the point triples scanned in lexicographic order, by the scan that
+    also serves `check_linear_axioms`, and the first triple not on exactly
+    one circle becomes the witness. A trivial verdict is the star with its
+    center among the circles and at least three leaves.
     The verdict is computed on the first call for a graph value; later calls
     return the same object.
     """
@@ -153,8 +155,11 @@ def _classify(g: BipartiteGraph, idx: GraphIndex) -> CircularClassification:
             )
         covered += comb(d, 3)
     if covered != comb(len(g.part_u), 3) or idx.overlap[0] > 2:
+        # Failing the identity, some triple is not on exactly one circle.
+        _, triple, c = _first_unmet(idx, 3)
+        kind = ViolationKind.TRIPLE_UNCOVERED if c == 0 else ViolationKind.TRIPLE_OVERCOVERED
         return CircularClassification(
-            Verdict.NOT_CIRCULAR, _first_bad_triple(idx), vacuous, note
+            Verdict.NOT_CIRCULAR, Violation(kind, triple, c), vacuous, note
         )
     if len(g.part_w) >= 2:
         return CircularClassification(Verdict.NON_TRIVIAL_CIRCULAR, None, vacuous, note)
@@ -168,18 +173,25 @@ def _classify(g: BipartiteGraph, idx: GraphIndex) -> CircularClassification:
     )
 
 
-def _first_bad_triple(idx: GraphIndex) -> Optional[Violation]:
-    # The first point triple, in lexicographic order, not on exactly one circle.
-    m = idx.masks
-    for x, y, z in combinations(bits(idx.points), 3):
-        c = (m[x] & m[y] & m[z]).bit_count()
-        if c != 1:
-            kind = (
-                ViolationKind.TRIPLE_UNCOVERED
-                if c == 0
-                else ViolationKind.TRIPLE_OVERCOVERED
-            )
-            return Violation(kind, (idx.labels[x], idx.labels[y], idx.labels[z]), c)
+def _first_unmet(idx: GraphIndex, t: int) -> Optional[tuple[int, tuple[str, ...], int]]:
+    """The first t-set of points, in label order, not on exactly one circle.
+
+    Returns its 1-based rank in that order, its labels and the number of
+    circles through it, or None when every t-set is on exactly one circle.
+    The first t - 1 points share one mask, so each set costs one AND.
+    """
+    pts = list(bits(idx.points))
+    pm = [idx.masks[p] for p in pts]
+    rank = 0
+    for head in combinations(range(len(pts)), t - 1):
+        on_head = -1
+        for i in head:
+            on_head &= pm[i]
+        for z in range(head[-1] + 1, len(pts)):
+            rank += 1
+            c = (on_head & pm[z]).bit_count()
+            if c != 1:
+                return rank, tuple(idx.labels[pts[i]] for i in (*head, z)), c
     return None
 
 
@@ -302,23 +314,19 @@ def check_linear_axioms(g: BipartiteGraph) -> CheckReport:
 
     Every pair of distinct points must have exactly one common circle and
     every vertex must have degree at least 2. The counterexample names the
-    first failing pair, then the first failing vertex.
+    first failing pair, from the scan that gives `classify` its first
+    failing triple, with its circle count and its rank in label order; then
+    the first failing vertex.
     """
     idx = g.index
-    m = idx.masks
-    pair_count = 0
-    for x, y in combinations(bits(idx.points), 2):
-        pair_count += 1
-        c = (m[x] & m[y]).bit_count()
-        if c != 1:
-            return CheckReport(
-                "linear_axioms",
-                CheckStatus.FAIL,
-                {"pair_cn": c, "pair_count": pair_count},
-                (idx.labels[x], idx.labels[y]),
-            )
-    degrees = [mask.bit_count() for mask in m]
-    evidence = {"pair_count": pair_count, "min_degree": min(degrees, default=0)}
+    unmet = _first_unmet(idx, 2)
+    if unmet is not None:
+        rank, pair, c = unmet
+        return CheckReport(
+            "linear_axioms", CheckStatus.FAIL, {"pair_cn": c, "pair_count": rank}, pair
+        )
+    degrees = [mask.bit_count() for mask in idx.masks]
+    evidence = {"pair_count": comb(len(g.part_u), 2), "min_degree": min(degrees, default=0)}
     for v, d in zip(idx.labels, degrees):
         if d < 2:
             return CheckReport(

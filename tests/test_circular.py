@@ -233,10 +233,10 @@ class TestCountingIdentity:
         assert brute_force_classify(g) == cls
 
     def test_circular_inputs_never_scan_triples(self, monkeypatch):
-        def scan(idx):
+        def scan(idx, t):
             raise AssertionError("triple scan on a circular input")
 
-        monkeypatch.setattr(circular, "_first_bad_triple", scan)
+        monkeypatch.setattr(circular, "_first_unmet", scan)
         graphs = [triangular(9), star(60)]
         graphs += [fresh(entry.graph) for entry in enumerate_circular(6)]
         for g in graphs:
