@@ -66,6 +66,16 @@ a new one (1 3), the closure holds 4, which the new generator alone does
 not reach. Neither pruning changes the winning leaf, as the search keeps
 the first least leaf in depth-first order.
 
+A leaf equal to the best also ends its branch (McKay, *Congr. Numer.* 30,
+1981). Let node k be the first on the stack whose running child's position
+the new generator p moves. The tree is built without regard to labels, so
+p maps the best leaf's path onto this leaf's. The two paths share their
+first k positions, which p fixes, and p maps the best path's next position,
+an explored child of node k, onto the running child. The running child's
+subtree is therefore the image under p of that explored child's subtree,
+which is complete and holds no leaf below the best; node k resumes with
+its next child at once, and the first least leaf stays the same.
+
 The search runs depth first on an explicit stack: each node on it is
 suspended between two of its children, in target-cell order, and resumes
 once the last child's subtree is complete. The depth, up to one node per
@@ -239,6 +249,9 @@ def _search(
 ) -> tuple[tuple[int, ...], list[int]]:
     """Rows and vertex order of the first least leaf in depth-first order.
 
+    A leaf equal to the best returns the search to the node where its path
+    and the best leaf's part, which resumes with its next child.
+
     With a `target`, the search returns as soon as a leaf becomes the best
     with rows <= target. Every leaf before it is greater than the target,
     so when the target is the least value this leaf is still the first least
@@ -282,10 +295,12 @@ def _search(
                 # The automorphism taking the best order to this leaf's, kept
                 # by every node from the root down whose prefix it fixes.
                 p = tuple(b for _, b in sorted(zip(best_order, order)))
-                for (_, fixing), v in zip(stack, path):
+                for k, ((_, fixing), v) in enumerate(zip(stack, path)):
                     fixing.append(p)
                     if p[v] != v:
                         break
+                # Node k's running child is p's image of an explored one: resume node k.
+                del stack[k + 1 :]
         while stack:
             child = next(stack[-1][0], None)
             if child is not None:

@@ -9,7 +9,9 @@ early-stopping second search of `are_isomorphic`. `free_trees` keeps the
 first tree of each plain canonical form, and `brute_force_circular_trees`
 deduplicates and describes those trees with the census's own class winner
 rule and entry code: the reference for the closed-form tree census, which
-they reach by searching every tree.
+they reach by searching every tree. `first_least_leaf` walks the canonical
+search tree, built with the library's `_refine`, with no pruning at all:
+the reference for the pruned search.
 """
 
 from collections import deque
@@ -17,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 import random
 
-from circgraph.canonical import IsoCertificate, canonical_form
+from circgraph.canonical import IsoCertificate, _refine, canonical_form
 from circgraph.census import _classes
 from circgraph.circular import (
     CircularClassification,
@@ -380,6 +382,37 @@ def reference_in_explored_orbit(gens, prefix, explored, v):
     return find(v) in {find(u) for u in explored}
 
 
+def first_least_leaf(masks, cells):
+    """Bits and vertex order of the first least leaf, in depth-first order,
+    of the whole search tree from the initial `cells`: every member of every
+    target cell is individualized, with no pruning. The tree is the one
+    `canonical._search` walks: `_refine` at each node, and the target is
+    the smallest cell of two or more members, the lowest index on ties."""
+    n = len(masks)
+    best = None
+
+    def walk(cells):
+        nonlocal best
+        open_cells = [(cell.bit_count(), t) for t, cell in enumerate(cells) if cell & (cell - 1)]
+        if not open_cells:
+            order = [cell.bit_length() - 1 for cell in cells]
+            leaf = "".join(
+                str(masks[order[i]] >> order[j] & 1) for i in range(n) for j in range(i + 1, n)
+            )
+            if best is None or leaf < best[0]:
+                best = (leaf, order)
+            return
+        _, t = min(open_cells)
+        target = cells[t]
+        for v in range(n):
+            if target >> v & 1:
+                low = 1 << v
+                walk(_refine(masks, cells[:t] + [low, target ^ low] + cells[t + 1 :], [low]))
+
+    walk(_refine(masks, [cell for cell in cells if cell]))
+    return best
+
+
 def _simple(n, adjacent, prefix):
     labels = [f"{prefix}{i}" for i in range(n)]
     edges = tuple((labels[a], labels[b]) for a, b in combinations(range(n), 2) if adjacent(a, b))
@@ -392,9 +425,10 @@ def shrikhande():
     return _simple(16, lambda a, b: ((b // 4 - a // 4) % 4, (b % 4 - a % 4) % 4) in steps, "s")
 
 
-def rook4():
-    """The 4x4 rook's graph: srg(16,6,2,2), not isomorphic to Shrikhande's."""
-    return _simple(16, lambda a, b: a // 4 == b // 4 or a % 4 == b % 4, "r")
+def rook(k):
+    """The k x k rook's graph; rook(4) is srg(16,6,2,2), not isomorphic to
+    Shrikhande's."""
+    return _simple(k * k, lambda a, b: a // k == b // k or a % k == b % k, "r")
 
 
 def paley(p):

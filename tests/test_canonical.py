@@ -23,6 +23,7 @@ from helpers import (
     cell_masks,
     cfi,
     cfi_k4,
+    first_least_leaf,
     free_trees,
     oracle_isomorphic,
     oracle_part_isomorphic,
@@ -35,7 +36,7 @@ from helpers import (
     reference_refine,
     reference_rows,
     relabeled,
-    rook4,
+    rook,
     shrikhande,
 )
 from strategies import bipartite_graphs, simple_graphs
@@ -213,7 +214,7 @@ def named_iso_pairs():
         pairs[f"triangular{n}-relabeled"] = (g, relabeled(g, rng)[0])
     pairs["cfi-k4-untwisted-twisted"] = (cfi_k4(False), cfi_k4(True))
     pairs["cfi-k4-relabeled"] = (cfi_k4(True), relabeled(cfi_k4(True), rng)[0])
-    pairs["shrikhande-rook4"] = (shrikhande(), rook4())
+    pairs["shrikhande-rook4"] = (shrikhande(), rook(4))
     pairs["empty"] = (BipartiteGraph((), (), ()), BipartiteGraph((), (), ()))
     pairs["one-point"] = (BipartiteGraph(("a",), (), ()), BipartiteGraph(("b",), (), ()))
     pairs["point-circle"] = (BipartiteGraph(("a",), (), ()), BipartiteGraph((), ("a",), ()))
@@ -254,10 +255,13 @@ class TestTargetedSearchEquivalence:
 
 
 class TestPruningNeutrality:
+    """Twin pruning, orbit pruning and the back-jump at leaves equal to the
+    best never change the winner: `canonical_form` returns the first least
+    leaf of the whole unpruned tree, as `first_least_leaf` finds it. The
+    CFI graphs over K4, four disjoint edges and the 3x3 rook graph have
+    many leaves equal to the best, so the search jumps back on them."""
+
     def test_orbit_pruning_never_changes_the_winner(self, monkeypatch):
-        # Ground truth: exhaustive branch exploration with both prunings
-        # disabled: `_close` does nothing, so `covered` holds only the
-        # explored candidates, and each position is its own twin class.
         import circgraph.canonical as canonical_module
 
         graphs = [as_simple(star(n)) for n in range(4, 10)]
@@ -281,6 +285,18 @@ class TestPruningNeutrality:
                 if rng.random() < 0.5
             ]
             graphs.append(SimpleGraph(tuple(labels), tuple(edges)))
+        graphs += [cfi_k4(False), cfi_k4(True), disjoint_edges(4), rook(3)]
+        parted = [triangular(4), triangular(5)]
+
+        def leaf(g, respect_parts):
+            bits, order = first_least_leaf(
+                g.index.masks, canonical_module._initial_cells(g, respect_parts)
+            )
+            labels = g.index.labels
+            u_size = g.index.points.bit_count() if respect_parts else None
+            return (len(labels), u_size, bits), {labels[v]: i for i, v in enumerate(order)}
+
+        expected = [leaf(g, False) for g in graphs] + [leaf(g, True) for g in parted]
 
         real_refine = canonical_module._refine
         refines = []
@@ -291,20 +307,25 @@ class TestPruningNeutrality:
 
         def forms():
             refines.clear()
-            return [(f.key, f.relabeling) for f in map(canonical_form, graphs)], len(refines)
+            found = [canonical_form(g) for g in graphs]
+            found += [canonical_form(g, respect_parts=True) for g in parted]
+            return [(f.key, f.relabeling) for f in found], len(refines)
 
         monkeypatch.setattr(canonical_module, "_refine", counted)
         pruned, pruned_nodes = forms()
+        # Orbit pruning off: `_close` does nothing, so `covered` holds only
+        # the explored candidates. Then twin pruning off too: each position
+        # is its own twin class.
         monkeypatch.setattr(canonical_module, "_close", lambda covered, todo, gens: None)
         orbits_off, orbits_off_nodes = forms()
         monkeypatch.setattr(
             canonical_module, "_twin_classes", lambda masks: list(range(len(masks)))
         )
-        exhaustive, exhaustive_nodes = forms()
-        assert pruned == orbits_off == exhaustive
+        both_off, both_off_nodes = forms()
+        assert pruned == orbits_off == both_off == expected
         # Orbit pruning cuts branches that twin pruning leaves, and twin
         # pruning alone cuts some too.
-        assert pruned_nodes < orbits_off_nodes < exhaustive_nodes
+        assert pruned_nodes < orbits_off_nodes < both_off_nodes
 
 
 class TestPartRespectingSoundness:
@@ -449,7 +470,7 @@ class TestNetworkxOracle:
     def pairs():
         rng = random.Random(13)
         return {
-            "shrikhande-rook": (shrikhande(), rook4()),
+            "shrikhande-rook": (shrikhande(), rook(4)),
             "paley13-relabelings": (relabeled(paley(13), rng)[0], relabeled(paley(13), rng)[0]),
             "cfi-k4-twist": (cfi_k4(False), cfi_k4(True)),
         }
@@ -583,7 +604,7 @@ class TestCheapRejection:
 
     def test_equal_degree_sequences_still_canonicalize(self, monkeypatch):
         calls = self.count_searches(monkeypatch)
-        assert not are_isomorphic(shrikhande(), rook4()).isomorphic
+        assert not are_isomorphic(shrikhande(), rook(4)).isomorphic
         assert len(calls) == 2
 
     def test_bipartite_requirement_is_checked_first(self):
@@ -622,37 +643,43 @@ def disjoint_edges(k):
 class TestSearchNodeCounts:
     """The number of search nodes, counted as `_refine` calls: one for the
     root and one per child. Twin pruning leaves one child per node on
-    edgeless graphs and on the leaves of a star. Orbit pruning does the work
-    on the plain-mode Paley, strongly regular, CFI and triangular rows. The
-    relabeled doubling graphs (neighborhood graphs of triangular(7) and
-    triangular(8)) and 12 disjoint edges keep their small counts only while
-    every node prunes with all the automorphisms found so far that fix its
-    prefix: keeping at most 64 of them takes 47 707, 421 000 and 8 985
-    nodes there."""
+    edgeless graphs and on the leaves of a star. Orbit pruning and the
+    back-jump at leaves equal to the best do the work on the plain-mode
+    Paley, strongly regular, CFI and triangular rows. Without the back-jump
+    the CFI graphs over K6, K7 and K8 take 1041, 3840 and 13 272 nodes (K8
+    about 15 s); with it K8 takes about 0.3 s, so a lost back-jump fails
+    here rather than timing out. The relabeled doubling graphs
+    (neighborhood graphs of triangular(7) and triangular(8)) and 12
+    disjoint edges keep their small counts only while every node prunes
+    with all the automorphisms found so far that fix its prefix: keeping at
+    most 8 of them takes 171, 324 and 161 nodes there."""
 
     @pytest.mark.parametrize(
         "build, respect_parts, nodes",
         [
-            (lambda: triangular(8), True, 92),
-            (lambda: triangular(9), True, 129),
-            (lambda: triangular(10), True, 175),
-            (lambda: triangular(11), True, 231),
-            (lambda: triangular(12), True, 298),
+            (lambda: triangular(8), True, 36),
+            (lambda: triangular(9), True, 45),
+            (lambda: triangular(10), True, 55),
+            (lambda: triangular(11), True, 66),
+            (lambda: triangular(12), True, 78),
             (lambda: SimpleGraph(tuple(f"v{i}" for i in range(13)), ()), False, 13),
             (lambda: star(14), True, 13),
-            (lambda: paley(13), False, 11),
-            (shrikhande, False, 19),
-            (rook4, False, 39),
-            (lambda: cfi_k4(False), False, 41),
-            (lambda: cfi_k4(True), False, 51),
-            (lambda: as_simple(triangular(9)), False, 129),
-            (lambda: cfi(list(combinations(range(5), 2)), 5, ()), False, 120),
-            (lambda: cfi(list(combinations(range(5), 2)), 5, {0}), False, 136),
-            (lambda: cfi(petersen_edges(), 10, ()), False, 124),
-            (lambda: cfi(petersen_edges(), 10, {0}), False, 215),
-            (lambda: doubling_graph(7, 3), False, 461),
-            (lambda: doubling_graph(8, 3), False, 623),
-            (lambda: disjoint_edges(12), False, 505),
+            (lambda: paley(13), False, 6),
+            (shrikhande, False, 10),
+            (lambda: rook(4), False, 21),
+            (lambda: cfi_k4(False), False, 26),
+            (lambda: cfi_k4(True), False, 26),
+            (lambda: as_simple(triangular(9)), False, 45),
+            (lambda: cfi(list(combinations(range(5), 2)), 5, ()), False, 43),
+            (lambda: cfi(list(combinations(range(5), 2)), 5, {0}), False, 43),
+            (lambda: cfi(petersen_edges(), 10, ()), False, 68),
+            (lambda: cfi(petersen_edges(), 10, {0}), False, 68),
+            (lambda: doubling_graph(7, 3), False, 103),
+            (lambda: doubling_graph(8, 3), False, 120),
+            (lambda: disjoint_edges(12), False, 93),
+            (lambda: cfi(list(combinations(range(6), 2)), 6, {0}), False, 100),
+            (lambda: cfi(list(combinations(range(7), 2)), 7, {0}), False, 200),
+            (lambda: cfi(list(combinations(range(8), 2)), 8, {0}), False, 360),
         ],
         ids=[
             "triangular8-parts",
@@ -675,6 +702,9 @@ class TestSearchNodeCounts:
             "doubling-triangular7-seed3",
             "doubling-triangular8-seed3",
             "disjoint-edges12",
+            "cfi-k6-twisted",
+            "cfi-k7-twisted",
+            "cfi-k8-twisted",
         ],
     )
     def test_node_count(self, monkeypatch, build, respect_parts, nodes):
@@ -684,9 +714,9 @@ class TestSearchNodeCounts:
         counts = [count_nodes(monkeypatch, doubling_graph(7, seed), False) for seed in range(1, 17)]
         assert max(counts) <= 4 * min(counts), counts
 
-    @pytest.mark.parametrize("n, nodes", [(8, 100), (9, 138), (10, 185)])
+    @pytest.mark.parametrize("n, nodes", [(8, 44), (9, 54), (10, 65)])
     def test_are_isomorphic_node_count(self, monkeypatch, n, nodes):
-        # The first graph's full search (92, 129, 175 nodes) plus the second
+        # The first graph's full search (36, 45, 55 nodes) plus the second
         # graph's first path: every leaf of triangular(n) equals the best.
         import circgraph.canonical as canonical_module
 
