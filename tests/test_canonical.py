@@ -714,7 +714,11 @@ class TestSearchNodeCounts:
         counts = [count_nodes(monkeypatch, doubling_graph(7, seed), False) for seed in range(1, 17)]
         assert max(counts) <= 4 * min(counts), counts
 
-    @pytest.mark.parametrize("n, nodes", [(8, 44), (9, 54), (10, 65)])
+    @pytest.mark.parametrize(
+        "n, nodes",
+        [(8, 44), (9, 54), (10, 65)],
+        ids=["triangular8-parts", "triangular9-parts", "triangular10-parts"],
+    )
     def test_are_isomorphic_node_count(self, monkeypatch, n, nodes):
         # The first graph's full search (36, 45, 55 nodes) plus the second
         # graph's first path: every leaf of triangular(n) equals the best.
