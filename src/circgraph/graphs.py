@@ -115,24 +115,24 @@ class GraphIndex:
     point part of a bipartite graph and is 0 for a simple graph.
 
     `layers`, the all-sources BFS table (entry i is bfs_layers(masks, i)),
-    is computed once per graph, on first use, in level-synchronous rounds:
-    each round advances every source that still has unseen vertices by one
-    level. Source i's next frontier is either the OR of masks[j] over j in
-    its frontier (top-down), or the OR of its neighbours' frontiers minus
-    its ball, since a vertex at distance k+1 from i is at distance exactly k
-    from some neighbour of i. A step goes top-down when the frontier has no
-    more vertices than i has neighbours, so it reads min(|frontier|, degree)
-    masks, never more than the per-source BFS would. On the paper's circular
-    graphs the early rounds go top-down and the later ones, whose frontiers
-    are large, take the neighbours' way. A round skips each source whose
-    frontier is empty or whose ball is everything. A source whose ball
-    became everything keeps its last frontier through the next round: a
-    neighbour's eccentricity can be one more than its own, and that
-    neighbour may read the frontier the neighbours' way for its own last
-    level. Rounds stop once no frontier is left, so the table takes at most
-    one round more than the largest finite distance. `verify` builds it only
-    for graphs that `classify` accepts, whose diameter is at most 4: at most
-    5 rounds.
+    is computed once per graph, on first use, in level-synchronous rounds.
+    After k rounds source i keeps one ball, the mask of the positions within
+    distance k. Each round grows every source still in the round list by one
+    level, working from a snapshot of the balls taken at the round's start.
+    The next ball is i's ball OR either the masks of its last layer
+    (top-down) or its neighbours' balls, since a vertex within distance k+1
+    of i is within distance k of i or of some neighbour of i. A step goes
+    top-down when the last layer has no more vertices than i has neighbours,
+    so it reads min(|last layer|, degree) masks, never more than the
+    per-source BFS would. On the paper's circular graphs the early rounds go
+    top-down and the later ones, whose layers are large, take the
+    neighbours' way. The new layer is the new ball XOR the old one. A source
+    leaves the round list once its ball is everything or stops growing; a
+    finished ball never changes, so a neighbour may read it in any later
+    round. On a connected graph the rounds number its diameter, so `verify`,
+    which builds the table only for graphs that `classify` accepts, whose
+    diameter is at most 4, takes at most 4 rounds; a disconnected graph
+    takes one more round than its largest finite distance.
 
     `overlap` is the largest number of neighbours two circle positions share
     (any two positions of a simple graph) with the first pair, in ascending
@@ -173,31 +173,24 @@ class GraphIndex:
     def layers(self) -> tuple[list[int], ...]:
         masks = self.masks
         n = len(masks)
+        everything = (1 << n) - 1
         table = tuple([1 << i] for i in range(n))
-        frontier = [1 << i for i in range(n)]
-        unseen = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
-        while any(frontier):
-            # A source whose ball became everything last round is skipped but
-            # keeps that last frontier for this round: a neighbour taking the
-            # neighbours' way still reads it. From the next round on it is 0.
-            nxt = [0] * n
-            for i, f in enumerate(frontier):
-                if not f or not unseen[i]:
-                    continue
-                m = masks[i]
-                reach = 0
-                if f.bit_count() <= m.bit_count():
-                    for j in bits(f):
-                        reach |= masks[j]
+        balls = [1 << i for i in range(n)]
+        growing = [i for i in range(n) if balls[i] != everything]
+        while growing:
+            start = balls[:]
+            for i in growing:
+                last, m, ball = table[i][-1], masks[i], start[i]
+                if last.bit_count() <= m.bit_count():
+                    for j in bits(last):
+                        ball |= masks[j]
                 else:
                     for j in bits(m):
-                        reach |= frontier[j]
-                f = reach & unseen[i]
-                if f:
-                    table[i].append(f)
-                    nxt[i] = f
-                    unseen[i] ^= f
-            frontier = nxt
+                        ball |= start[j]
+                if ball != start[i]:
+                    table[i].append(ball ^ start[i])
+                    balls[i] = ball
+            growing = [i for i in growing if start[i] != balls[i] != everything]
         return table
 
     @cached_property
@@ -483,8 +476,8 @@ def all_pairs_distances(g: Graph) -> tuple[list[int], ...]:
     """BFS layer masks from every position: entry i is bfs_layers(masks, i).
 
     A position in no layer of entry i is unreachable from position i. The
-    table is `GraphIndex.layers`: built once per graph in level-synchronous
-    rounds, each frontier expanded top-down or from the neighbours'
-    frontiers, whichever reads fewer masks, and shared: do not modify it.
+    table is `GraphIndex.layers`, built once per graph by growing one ball
+    per source (see `GraphIndex` for the step and the exit rule), and
+    shared: do not modify it.
     """
     return g.index.layers

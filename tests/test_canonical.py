@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circgraph import canonical
 from circgraph.canonical import _counts, _refine, _split, are_isomorphic, canonical_form
+from circgraph.cli import main
 from circgraph.constructions import neighborhood_graph, star, triangular
+from circgraph.fileio import dumps_obj, payload_to_obj
 from circgraph.graphs import (
     BipartiteGraph,
     GraphError,
@@ -610,6 +613,57 @@ class TestCheapRejection:
     def test_bipartite_requirement_is_checked_first(self):
         with pytest.raises(GraphError, match="bipartite"):
             are_isomorphic(SimpleGraph(("a",), ()), SimpleGraph(("a", "b"), ()), respect_parts=True)
+
+
+class TestMappingCheck:
+    """`are_isomorphic` replays its mapping before it answers, so a wrong
+    order from the search raises instead of returning a certificate."""
+
+    PATH = SimpleGraph(("a", "b", "c", "d"), (("a", "b"), ("b", "c"), ("c", "d")))
+
+    @pytest.mark.parametrize(
+        "mapping, respect_parts, message",
+        [
+            ({"a": "a", "b": "b", "c": "c"}, False, "does not cover the first vertex set"),
+            ({"a": "a", "b": "b", "c": "c", "d": "c"}, False, "is not onto the second"),
+            ({"a": "b", "b": "a", "c": "c", "d": "d"}, False, "does not transport the edge"),
+            # The reversal keeps the edges but sends point a to circle d.
+            ({"a": "d", "b": "c", "c": "b", "d": "a"}, True, "does not preserve the parts"),
+        ],
+        ids=["misses-vertex", "not-onto", "drops-edges", "point-to-circle"],
+    )
+    def test_each_refusal(self, mapping, respect_parts, message):
+        g = BipartiteGraph(("a", "c"), ("b", "d"), self.PATH.edges) if respect_parts else self.PATH
+        with pytest.raises(RuntimeError, match=message):
+            canonical._verify_mapping(g, g, mapping, respect_parts)
+
+    @staticmethod
+    def swap_targeted_order(monkeypatch):
+        # The targeted search returns the right rows with its first two
+        # positions swapped; no two vertices of a path on four are twins.
+        real = canonical._label
+
+        def wrong(g, respect_parts, target=None):
+            rows, order = real(g, respect_parts, target)
+            if target is not None:
+                order = [order[1], order[0], *order[2:]]
+            return rows, order
+
+        monkeypatch.setattr(canonical, "_label", wrong)
+
+    def test_wrong_order_raises(self, monkeypatch):
+        self.swap_targeted_order(monkeypatch)
+        with pytest.raises(RuntimeError, match="isomorphism mapping"):
+            are_isomorphic(self.PATH, self.PATH)
+
+    def test_wrong_order_is_an_internal_error_in_the_cli(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "path.json"
+        path.write_text(dumps_obj(payload_to_obj(self.PATH)))
+        self.swap_targeted_order(monkeypatch)
+        assert main(["iso", str(path), str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal error: RuntimeError: isomorphism mapping")
 
 
 def count_nodes(monkeypatch, g, respect_parts):

@@ -12,7 +12,7 @@ from circgraph.canonical import are_isomorphic, canonical_form
 from circgraph.census import enumerate_circular, enumerate_circular_trees
 from circgraph.circular import CheckStatus, Verdict, classify, run_all_checks
 from circgraph.cli import main
-from circgraph.constructions import neighborhood_graph, star, triangular
+from circgraph.constructions import Design, neighborhood_graph, star, triangular
 from circgraph.fileio import coerce_bipartite, parse_payload
 from circgraph.graphs import BipartiteGraph, GraphError, disjoint_union, metric_summary
 
@@ -128,6 +128,33 @@ class TestCircularCensus:
         enumerate_circular(5)
         # 7 labeled families fall into 3 classes.
         assert calls == {"from_design": 7, "classify": 3, "metric_summary": 3}
+
+
+class TestNonCircularGuard:
+    """Every class winner is re-validated: a non-circular family from the
+    exact cover raises instead of entering the census."""
+
+    @staticmethod
+    def add_non_circular_family(monkeypatch):
+        real = census._designs
+
+        def designs(points):
+            yield from real(points)
+            yield Design(points, (points[:3],))
+
+        monkeypatch.setattr(census, "_designs", designs)
+
+    def test_enumeration_raises(self, monkeypatch):
+        self.add_non_circular_family(monkeypatch)
+        with pytest.raises(RuntimeError, match="non-circular graph"):
+            enumerate_circular(4)
+
+    def test_cli_exits_three_with_nothing_on_stdout(self, capsys, monkeypatch):
+        self.add_non_circular_family(monkeypatch)
+        assert main(["enum", "circular", "--u", "4"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal error: RuntimeError: enumeration produced")
 
 
 class TestCircularTrees:

@@ -274,8 +274,8 @@ class TestAllSourcesTable:
             path_graph([f"v{i:02d}" for i in range(30)]),
             clique_with_tail(8, 8),
             # K1,3 with a pendant vertex e off leaf a. Leaf b reads, the
-            # neighbours' way, the last frontier {e} of the centre c, whose
-            # ball became everything the round before.
+            # neighbours' way, the ball of the centre c, which became
+            # everything the round before and left the round list.
             SimpleGraph(
                 ("a", "b", "c", "d", "e"),
                 (("a", "c"), ("b", "c"), ("c", "d"), ("a", "e")),
@@ -286,11 +286,23 @@ class TestAllSourcesTable:
     def test_hand_cases(self, g):
         assert_table_is_bfs(g)
 
-    def test_each_step_reads_the_cheaper_way(self, monkeypatch):
-        # Clique sources expand a frontier no wider than their degree
-        # top-down; tail sources reach the clique with a frontier wider than
-        # their degree and read their neighbours' frontiers instead.
-        g = clique_with_tail(8, 8)
+    @pytest.mark.parametrize(
+        "g",
+        [
+            clique_with_tail(8, 8),
+            # Three components: sources leave the round list when their ball
+            # stops growing, at different rounds, and that last step counts.
+            disjoint_union(
+                disjoint_union(clique_with_tail(6, 4), path_graph(["a", "b", "c"])),
+                SimpleGraph(("z",), ()),
+            ),
+        ],
+        ids=["k8_tail8", "k6_tail4_path3_isolated"],
+    )
+    def test_each_step_reads_the_cheaper_way(self, g, monkeypatch):
+        # Clique sources grow their ball top-down from a last layer no wider
+        # than their degree; tail sources reach the clique with a last layer
+        # wider than their degree and read their neighbours' balls instead.
         idx = g.index
         everything = (1 << len(idx.masks)) - 1
         per_source = tuple(bfs_layers(idx.masks, i) for i in range(len(idx.masks)))
