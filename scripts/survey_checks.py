@@ -6,7 +6,7 @@ Usage:
 
 Surveys the stars on 4 to 63 vertices (up to 62 points, the largest star the
 benchmark verifies), triangular(3) to triangular(12), the circular censuses
-for 3 to 6 points and the tree census up to 10 vertices.
+for 3 to 7 points and the tree census up to 10 vertices.
 Prints one row per graph with its classification, the status of each check,
 the measured diameter/radius and the milliseconds spent in `classify` plus
 `run_all_checks`, then a summary line with the total time. A census graph
@@ -32,7 +32,7 @@ from circgraph.circular import CheckStatus
 
 MAX_STAR = 63
 MAX_TRIANGULAR = 12
-CENSUS_MAX = 6
+CENSUS_MAX = 7
 TREES_MAX = 10
 
 

@@ -517,4 +517,4 @@ def brute_force_circular_trees(max_n):
                     if classify(g).is_circular:
                         yield g
 
-    return _classes(enumerate(circular()))
+    return _classes(circular())

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import random
+from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -117,7 +119,7 @@ class TestCircularCensus:
             assert cert.isomorphic
 
     def test_only_class_winners_are_described(self, monkeypatch):
-        calls = {"from_design": 0, "classify": 0, "metric_summary": 0}
+        calls = {"from_design": 0, "canonical_form": 0, "classify": 0, "metric_summary": 0}
         for name in calls:
 
             def counting(*args, _name=name, _real=getattr(census, name), **kwargs):
@@ -126,8 +128,85 @@ class TestCircularCensus:
 
             monkeypatch.setattr(census, name, counting)
         enumerate_circular(5)
-        # 7 labeled families fall into 3 classes.
-        assert calls == {"from_design": 7, "classify": 3, "metric_summary": 3}
+        # 7 labeled families fall into 3 orbits; only their winners are built.
+        assert calls == {"from_design": 3, "canonical_form": 3, "classify": 3, "metric_summary": 3}
+
+
+def entry_blocks(entry):
+    """The entry's blocks as sorted tuples of point labels, in sorted order."""
+    g = entry.graph
+    return tuple(sorted(tuple(sorted(g.neighbors(w))) for w in g.part_w))
+
+
+def relabelings(entry):
+    """The entry's block set under each of the u! point permutations."""
+    points = entry.graph.part_u
+    for image in permutations(points):
+        to = dict(zip(points, image))
+        yield tuple(sorted(tuple(sorted(to[p] for p in b)) for b in entry_blocks(entry)))
+
+
+class TestOrbitStage:
+    """Brute-force oracles for the orbit table: each class keeps the least of
+    its point relabelings, and the classes' orbits add up to the labeled
+    families."""
+
+    LABELED = {3: 1, 4: 2, 5: 7, 6: 83}
+
+    @pytest.mark.parametrize("u_size", [3, 4, 5, 6])
+    def test_each_entry_is_its_least_relabeling(self, u_size):
+        for entry in enumerate_circular(u_size):
+            assert entry_blocks(entry) == min(relabelings(entry))
+
+    @pytest.mark.parametrize("u_size", [3, 4, 5, 6])
+    def test_orbit_sizes_sum_to_the_labeled_count(self, u_size):
+        total = 0
+        for entry in enumerate_circular(u_size):
+            aut = sum(1 for image in relabelings(entry) if image == entry_blocks(entry))
+            assert factorial(u_size) % aut == 0
+            total += factorial(u_size) // aut
+        assert total == self.LABELED[u_size]
+        if u_size <= 5:
+            assert total == len(dumb_circular_families(u_size))
+
+
+class TestCensusGate:
+    """The orbit table must hold exactly the families the exact cover
+    yielded, so a family dropped from an orbit the cover still reaches, or
+    one yielded twice, raises. The gate cannot see a class lost whole, such
+    as the star, which is alone in its orbit: only `test_matches_powerset_filter`
+    catches that."""
+
+    @staticmethod
+    def drop_second(designs):
+        # The first family at u = 5 is all ten triples, alone in its orbit,
+        # so dropping it would lose a class whole. The second lies in an
+        # orbit of five, whose other four the cover still yields.
+        yield next(designs)
+        next(designs)
+        yield from designs
+
+    @staticmethod
+    def repeat_first(designs):
+        first = next(designs)
+        yield first
+        yield first
+        yield from designs
+
+    @pytest.fixture(params=["drop_second", "repeat_first"])
+    def broken_cover(self, request, monkeypatch):
+        real, alter = census._designs, getattr(self, request.param)
+        monkeypatch.setattr(census, "_designs", lambda points: alter(real(points)))
+
+    def test_enumeration_raises(self, broken_cover):
+        with pytest.raises(RuntimeError, match="census gate"):
+            enumerate_circular(5)
+
+    def test_cli_exits_three_with_nothing_on_stdout(self, capsys, broken_cover):
+        assert main(["enum", "circular", "--u", "5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal error: RuntimeError: census gate")
 
 
 class TestNonCircularGuard:
@@ -215,40 +294,36 @@ class TestCircularTrees:
 
 
 class TestWinners:
-    """The one rule that keeps a class winner, shared by both censuses and
-    the test oracle `helpers.brute_force_circular_trees`."""
+    """The class rule shared by both censuses and the test oracle
+    `helpers.brute_force_circular_trees`: each candidate stands for its own
+    class, and the winners come in canonical-key order."""
 
     @staticmethod
     def star(centre, leaves):
         """K1,m with the leaves as points and the centre as the circle."""
         return BipartiteGraph(tuple(leaves), (centre,), tuple((v, centre) for v in leaves))
 
-    def test_least_rank_wins_first_seen_on_ties_in_key_order(self):
-        edge_a, edge_b = self.star("b", "a"), self.star("y", "x")
-        path_a, path_b = self.star("b", "ac"), self.star("a", "cb")
+    def test_one_key_twice_raises(self):
+        edge, path = self.star("b", "a"), self.star("b", "ac")
         square = BipartiteGraph(
             ("a", "c"), ("b", "d"), (("a", "b"), ("c", "b"), ("c", "d"), ("a", "d"))
         )
-        candidates = [(9, square), (5, edge_a), (3, path_a), (2, edge_b), (3, path_b)]
-        winners = census._winners(candidates)
-        # A later, smaller rank replaces edge_a; path_b ties and keeps path_a.
-        assert [(rank, g) for rank, g, _ in winners] == sorted(
-            [(2, edge_b), (3, path_a), (9, square)],
-            key=lambda pair: canonical_form(pair[1], respect_parts=True).key,
+        winners = census._winners([square, edge, path])
+        assert [g for g, _ in winners] == sorted(
+            [edge, path, square], key=lambda g: canonical_form(g, respect_parts=True).key
         )
-        keys = [form.key for _, _, form in winners]
-        assert keys == sorted(keys)
-        for _, g, form in winners:
+        for g, form in winners:
             assert form.key == canonical_form(g, respect_parts=True).key
+        with pytest.raises(RuntimeError, match="share a class"):
+            census._winners([square, edge, path, self.star("a", "cb")])
 
     def test_respect_parts_separates_the_orientations(self):
         # K_{1,2} with the centre as the point, and with the centre as the circle.
         one_point = BipartiteGraph(("c",), ("l1", "l2"), (("c", "l1"), ("c", "l2")))
         two_points = BipartiteGraph(("l1", "l2"), ("c",), (("c", "l1"), ("c", "l2")))
-        candidates = [(1, one_point), (0, two_points)]
-        parted = census._winners(candidates)
-        assert {g for _, g, _ in parted} == {one_point, two_points}
-        assert [form.key for _, _, form in parted] == sorted(
+        parted = census._winners([one_point, two_points])
+        assert {g for g, _ in parted} == {one_point, two_points}
+        assert [form.key for _, form in parted] == sorted(
             canonical_form(g, respect_parts=True).key for g in (one_point, two_points)
         )
 
@@ -275,7 +350,6 @@ class TestBruteForceOracle:
             assert brute_force_classify(entry.graph) == classify(entry.graph)
 
 
-@pytest.mark.slow
 class TestLargestGuardedCensus:
     # sha256 of the exact stdout of `enum circular --u 7`.
     U7_SHA256 = "9323c274d61e94b47179445096176dc67db9cc8329f5bc69c91dff8c932a8247"
