@@ -1,19 +1,19 @@
 """Censuses of small circular graphs and circular trees.
 
-The circular census is an exact-cover search over point-label triples: each
-block is the bit mask of the triples inside it, and walking the first
-uncovered triple yields, one at a time, each family whose masks partition
-all triples. Two families are isomorphic, part-respecting, exactly when a
-point permutation maps one onto the other, so a class is an orbit of the
-symmetric group on the points. The first family met from an orbit is closed
-under two permutations that generate that group, the transposition of the
-first two points and the cycle of all of them, and every labeled member
-enters a table with its orbit number; each later family is only looked up.
-Only the least-ranked family of each orbit is labeled, classified and
-measured. `classify` re-validates each winner, which catches any
-non-circular family, as it would form a class of its own. The tree census is
-computed, not searched: the circular trees are exactly the stars, which pass
-through the same entry code.
+The circular census is an exact-cover search over point triples: each block
+is the bit mask of the triples inside it, and walking the first uncovered
+triple yields, one at a time, each family whose masks partition all triples,
+as a set of point masks. Two families are isomorphic, part-respecting,
+exactly when a point permutation maps one onto the other, so a class is an
+orbit of the symmetric group on the points. Each family not yet seen is
+closed under two permutations that generate that group, the transposition of
+the first two points and the cycle of all of them, and every member enters
+one seen set. The least member of each orbit, its blocks read as sorted
+tuples of the one-character point labels, is the class winner; only the
+winners become Designs and are labeled, classified and measured. `classify`
+re-validates each winner, which catches any non-circular family, as it would
+form a class of its own. The tree census is computed, not searched: the
+circular trees are exactly the stars, which pass through the same entry code.
 """
 
 from __future__ import annotations
@@ -79,22 +79,22 @@ def _classes(candidates: Iterable[BipartiteGraph]) -> tuple[CensusEntry, ...]:
     return tuple(_make_entry(g, form) for g, form in _winners(candidates))
 
 
-def _designs(points: tuple[str, ...]) -> Iterator[Design]:
-    """The exact cover: every admissible block family, as a Design."""
-    bit = {t: 1 << i for i, t in enumerate(combinations(points, 3))}
-    # containing[t]: (mask, block) for each block holding the triple with bit t.
-    containing: dict[int, list] = {b: [] for b in bit.values()}
-    for size in range(3, len(points) + 1):
-        for block in combinations(points, size):
+def _families(u_size: int) -> Iterator[frozenset[int]]:
+    """The exact cover: every admissible block family, as a set of point masks."""
+    bit = {t: 1 << i for i, t in enumerate(combinations(range(u_size), 3))}
+    # containing[t]: (triple mask, point mask) of each block holding triple t.
+    containing: dict[int, list[tuple[int, int]]] = {b: [] for b in bit.values()}
+    for size in range(3, u_size + 1):
+        for block in combinations(range(u_size), size):
             inside = [bit[t] for t in combinations(block, 3)]
             mask = sum(inside)
             for t in inside:
-                containing[t].append((mask, block))
+                containing[t].append((mask, sum(1 << p for p in block)))
     full = (1 << len(bit)) - 1
 
-    def search(covered: int, chosen: tuple[tuple[str, ...], ...]) -> Iterator[Design]:
+    def search(covered: int, chosen: tuple[int, ...]) -> Iterator[frozenset[int]]:
         if covered == full:
-            yield Design(points, chosen)
+            yield frozenset(chosen)
             return
         # The lowest zero bit of covered: the first uncovered triple.
         for mask, block in containing[~covered & (covered + 1)]:
@@ -124,15 +124,16 @@ def enumerate_circular(u_size: int) -> tuple[CensusEntry, ...]:
 
     A family is a set of point masks. Blocks are distinct point sets, so a
     part-respecting isomorphism between two families' graphs is fixed by its
-    point permutation, and a class is an orbit of S_u. The first family met
-    from an orbit is closed under the transposition of points 1 and 2 and
-    the cycle 1 -> 2 -> ... -> u -> 1. These generate S_u: conjugating the
+    point permutation, and a class is an orbit of S_u. Each family not yet
+    seen is closed under the transposition of points 1 and 2 and the cycle
+    1 -> 2 -> ... -> u -> 1. These generate S_u: conjugating the
     transposition by powers of the cycle gives every adjacent transposition.
-    Every member enters the orbit table, so the work grows with the number
-    of families, and only each orbit's least-ranked family is labeled and
-    described.
+    Every member enters the seen set, so the work grows with the number of
+    families. The winner is the least member of the orbit, its blocks read
+    as sorted tuples of point labels; only the winners become Designs and
+    are labeled and described.
 
-    The gate: the table must hold exactly as many families as the exact
+    The gate: the seen set must hold exactly as many families as the exact
     cover yielded, and there must be one entry per orbit. A family dropped
     from an orbit that the cover still reaches, or one yielded twice, fails
     it. A class lost whole, such as the star, alone in its orbit, passes;
@@ -141,35 +142,34 @@ def enumerate_circular(u_size: int) -> tuple[CensusEntry, ...]:
     if not 3 <= u_size <= 7:
         raise GraphError(f"point count must be between 3 and 7: got {u_size}")
     points = tuple(str(i) for i in range(1, u_size + 1))
-    bit = {p: 1 << i for i, p in enumerate(points)}
+    # labels[m]: the labels of the points in mask m, in order. Each label is
+    # one character long, so for u <= 9 the labels sort as their positions
+    # do, and a sorted tuple of these is a family's Design block order.
+    labels = [tuple(p for i, p in enumerate(points) if m >> i & 1) for m in range(1 << u_size)]
     generators = [
         _point_images([1, 0, *range(2, u_size)]),
         _point_images([*range(1, u_size), 0]),
     ]
-    orbit: dict[frozenset[int], int] = {}
-    best: list[Design] = []
+    seen: set[frozenset[int]] = set()
+    best: list[tuple[tuple[str, ...], ...]] = []
     found = 0
-    for d in _designs(points):
+    for family in _families(u_size):
         found += 1
-        family = frozenset(sum(bit[p] for p in block) for block in d.blocks)
-        o = orbit.get(family)
-        if o is None:
-            orbit[family] = o = len(best)
-            best.append(d)
-            todo = [family]
-            while todo:
-                x = todo.pop()
-                for images in generators:
-                    y = frozenset([images[m] for m in x])
-                    if y not in orbit:
-                        orbit[y] = o
-                        todo.append(y)
-        elif d.blocks < best[o].blocks:
-            best[o] = d
-    entries = _classes(from_design(d) for d in best)
-    if len(orbit) != found or len(entries) != len(best):
+        if family in seen:
+            continue
+        seen.add(family)
+        orbit = [family]
+        for x in orbit:
+            for images in generators:
+                y = frozenset([images[m] for m in x])
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        best.append(min(tuple(sorted(labels[m] for m in x)) for x in orbit))
+    entries = _classes(from_design(Design(points, blocks)) for blocks in best)
+    if len(seen) != found or len(entries) != len(best):
         raise RuntimeError(
-            f"census gate: {found} families yielded, {len(orbit)} in the orbit table; "
+            f"census gate: {found} families yielded, {len(seen)} in the orbits; "
             f"{len(best)} orbits, {len(entries)} entries"
         )
     return entries

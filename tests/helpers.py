@@ -300,11 +300,14 @@ def perturbed(g: BipartiteGraph, rng: random.Random, kind: str):
     )
 
 
+@lru_cache(maxsize=None)
 def dumb_circular_families(u_size):
     """Powerset filter over all block families; cross-check for the census.
 
-    Only feasible for u_size <= 5. Returns the set of families, each as a
-    sorted tuple of sorted member tuples.
+    Only feasible for u_size <= 5. Returns the frozenset of families, each as
+    a sorted tuple of sorted member tuples of point positions 0..u_size-1.
+    Cached: at u_size = 5 the filter walks all 2^16 block subsets, which
+    takes about half a second.
     """
     points = list(range(u_size))
     blocks = []
@@ -320,7 +323,7 @@ def dumb_circular_families(u_size):
                 cover[t] += 1
         if all(c == 1 for c in cover.values()):
             families.add(tuple(sorted(chosen)))
-    return families
+    return frozenset(families)
 
 
 def reference_refine(n, adj, colors):

@@ -861,7 +861,7 @@ class TestTargetCellOrbits:
     def test_agrees_with_all_vertex_reference(self, monkeypatch):
         import circgraph.canonical as canonical_module
         from circgraph import census
-        from circgraph.constructions import from_design
+        from circgraph.constructions import Design, from_design
 
         real_children = canonical_module._children
         real_close = canonical_module._close
@@ -900,8 +900,9 @@ class TestTargetCellOrbits:
         monkeypatch.setattr(canonical_module, "_close", compared)
         for u in range(3, 7):
             points = tuple(str(i) for i in range(1, u + 1))
-            for design in census._designs(points):
-                g = from_design(design)
+            for family in census._families(u):
+                blocks = [[p for i, p in enumerate(points) if m >> i & 1] for m in family]
+                g = from_design(Design(points, blocks))
                 canonical_form(g, respect_parts=True)
                 canonical_form(g)
         rng = random.Random(2468)

@@ -14,7 +14,7 @@ from circgraph.canonical import are_isomorphic, canonical_form
 from circgraph.census import enumerate_circular, enumerate_circular_trees
 from circgraph.circular import CheckStatus, Verdict, classify, run_all_checks
 from circgraph.cli import main
-from circgraph.constructions import Design, neighborhood_graph, star, triangular
+from circgraph.constructions import neighborhood_graph, star, triangular
 from circgraph.fileio import coerce_bipartite, parse_payload
 from circgraph.graphs import BipartiteGraph, GraphError, disjoint_union, metric_summary
 
@@ -119,7 +119,8 @@ class TestCircularCensus:
             assert cert.isomorphic
 
     def test_only_class_winners_are_described(self, monkeypatch):
-        calls = {"from_design": 0, "canonical_form": 0, "classify": 0, "metric_summary": 0}
+        names = ["Design", "from_design", "canonical_form", "classify", "metric_summary"]
+        calls = dict.fromkeys(names, 0)
         for name in calls:
 
             def counting(*args, _name=name, _real=getattr(census, name), **kwargs):
@@ -129,7 +130,34 @@ class TestCircularCensus:
             monkeypatch.setattr(census, name, counting)
         enumerate_circular(5)
         # 7 labeled families fall into 3 orbits; only their winners are built.
-        assert calls == {"from_design": 3, "canonical_form": 3, "classify": 3, "metric_summary": 3}
+        assert calls == {
+            "Design": 3,
+            "from_design": 3,
+            "canonical_form": 3,
+            "classify": 3,
+            "metric_summary": 3,
+        }
+
+    @pytest.mark.parametrize("u_size", [3, 4, 5])
+    def test_cover_yields_each_family_once(self, u_size):
+        families = list(census._families(u_size))
+        assert len(set(families)) == len(families)
+        as_positions = {
+            tuple(sorted(tuple(i for i in range(u_size) if m >> i & 1) for m in family))
+            for family in families
+        }
+        assert as_positions == dumb_circular_families(u_size)
+
+    def test_output_does_not_depend_on_cover_order(self, capsys, monkeypatch):
+        def run():
+            for u_size in range(3, 7):
+                assert main(["enum", "circular", "--u", str(u_size)]) == 0
+            return capsys.readouterr().out
+
+        forward = run()
+        real = census._families
+        monkeypatch.setattr(census, "_families", lambda u_size: reversed(list(real(u_size))))
+        assert run() == forward
 
 
 def entry_blocks(entry):
@@ -171,32 +199,32 @@ class TestOrbitStage:
 
 
 class TestCensusGate:
-    """The orbit table must hold exactly the families the exact cover
-    yielded, so a family dropped from an orbit the cover still reaches, or
-    one yielded twice, raises. The gate cannot see a class lost whole, such
-    as the star, which is alone in its orbit: only `test_matches_powerset_filter`
-    catches that."""
+    """The seen set must hold exactly the families the exact cover yielded,
+    so a family dropped from an orbit the cover still reaches, or one yielded
+    twice, raises. The gate cannot see a class lost whole, such as the star,
+    which is alone in its orbit: only `test_matches_powerset_filter` and
+    `test_cover_yields_each_family_once` catch that."""
 
     @staticmethod
-    def drop_second(designs):
+    def drop_second(families):
         # The first family at u = 5 is all ten triples, alone in its orbit,
         # so dropping it would lose a class whole. The second lies in an
         # orbit of five, whose other four the cover still yields.
-        yield next(designs)
-        next(designs)
-        yield from designs
+        yield next(families)
+        next(families)
+        yield from families
 
     @staticmethod
-    def repeat_first(designs):
-        first = next(designs)
+    def repeat_first(families):
+        first = next(families)
         yield first
         yield first
-        yield from designs
+        yield from families
 
     @pytest.fixture(params=["drop_second", "repeat_first"])
     def broken_cover(self, request, monkeypatch):
-        real, alter = census._designs, getattr(self, request.param)
-        monkeypatch.setattr(census, "_designs", lambda points: alter(real(points)))
+        real, alter = census._families, getattr(self, request.param)
+        monkeypatch.setattr(census, "_families", lambda u_size: alter(real(u_size)))
 
     def test_enumeration_raises(self, broken_cover):
         with pytest.raises(RuntimeError, match="census gate"):
@@ -215,13 +243,14 @@ class TestNonCircularGuard:
 
     @staticmethod
     def add_non_circular_family(monkeypatch):
-        real = census._designs
+        real = census._families
 
-        def designs(points):
-            yield from real(points)
-            yield Design(points, (points[:3],))
+        def families(u_size):
+            yield from real(u_size)
+            # The lone block {1, 2, 3}, as a point mask.
+            yield frozenset([0b111])
 
-        monkeypatch.setattr(census, "_designs", designs)
+        monkeypatch.setattr(census, "_families", families)
 
     def test_enumeration_raises(self, monkeypatch):
         self.add_non_circular_family(monkeypatch)
