@@ -16,6 +16,7 @@ from .graphs import (
     BipartiteGraph,
     Graph,
     GraphError,
+    _entries,
     _label_problems,
     fresh_label,
     induced_subgraph,
@@ -39,14 +40,21 @@ class Design:
 
     def __post_init__(self):
         problems, point_set = _label_problems(self.points, "point set")
-        norm: list[tuple[str, ...]] = []
-        seen: set[tuple[str, ...]] = set()
-        for blk in self.blocks:
-            members = tuple(sorted(set(blk)))
-            if len(members) < 3:
-                problems.append(
-                    f"block must contain at least three distinct points: {sorted(blk)!r}"
-                )
+        # A dict keeps the input order, which is often sorted already, so the
+        # final sort is cheap.
+        seen: dict[tuple[str, ...], None] = {}
+        for blk in _entries(self.blocks, "block list", problems):
+            # As for edges: text is no block, and members that cannot be
+            # hashed or ordered raise TypeError.
+            try:
+                members = tuple(sorted(set(None if isinstance(blk, str) else blk)))
+                if len(members) < 3:
+                    problems.append(
+                        f"block must contain at least three distinct points: {sorted(blk)!r}"
+                    )
+                    continue
+            except TypeError:
+                problems.append(f"block must be a list of labels: {blk!r}")
                 continue
             unknown = [m for m in members if m not in point_set]
             if unknown:
@@ -58,12 +66,11 @@ class Design:
             if members in seen:
                 problems.append(f"duplicate block: {list(members)!r}")
                 continue
-            seen.add(members)
-            norm.append(members)
+            seen[members] = None
         if problems:
             raise GraphError("; ".join(problems))
         object.__setattr__(self, "points", tuple(sorted(self.points)))
-        object.__setattr__(self, "blocks", tuple(sorted(norm)))
+        object.__setattr__(self, "blocks", tuple(sorted(seen)))
 
 
 def block_label(members: tuple[str, ...]) -> str:

@@ -18,7 +18,12 @@ from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
 
 class GraphError(ValueError):
-    """Invalid graph input: unknown labels, malformed edges, broken invariants."""
+    """Invalid graph input: unknown labels, malformed edges, broken invariants.
+
+    The constructors raise it for any value of any field: text, a number or
+    None where a collection belongs, or an edge or block whose members are
+    not labels. None of them raises TypeError on its input.
+    """
 
 
 class BipartiteError(GraphError):
@@ -50,10 +55,18 @@ def is_label(x: Any) -> bool:
     return True
 
 
+def _entries(value: Any, where: str, problems: list[str]) -> Iterable[Any]:
+    """value's entries; text or a value that is not a collection is reported and has none."""
+    if isinstance(value, str) or not isinstance(value, Iterable):
+        problems.append(f"{where} must be a collection: {value!r}")
+        return ()
+    return value
+
+
 def _label_problems(labels: Iterable[str], where: str) -> tuple[list[str], set[str]]:
     problems: list[str] = []
     seen: set[str] = set()
-    for v in labels:
+    for v in _entries(labels, where, problems):
         if not is_label(v):
             problems.append(f"{where} label must be nonempty UTF-8 text: {v!r}")
         elif v in seen:
@@ -254,19 +267,21 @@ class SimpleGraph(_Indexed):
     def __post_init__(self):
         problems, seen = _label_problems(self.vertices, "vertex set")
         norm: set[tuple[str, str]] = set()
-        for e in self.edges:
-            pair = tuple(e)
-            if len(pair) != 2:
+        for e in _entries(self.edges, "edge list", problems):
+            # Text is no pair: it would split into characters. Entries whose
+            # endpoints cannot be hashed or ordered raise TypeError here.
+            try:
+                a, b = None if isinstance(e, str) else e
+                if a == b:
+                    problems.append(f"loop edge not allowed: ({a!r}, {b!r})")
+                    continue
+                key = (a, b) if a < b else (b, a)
+                for x in (a, b):
+                    if x not in seen:
+                        problems.append(f"edge endpoint is not a declared vertex: {x!r}")
+            except (TypeError, ValueError):
                 problems.append(f"edge must be a pair of labels: {e!r}")
                 continue
-            a, b = pair
-            if a == b:
-                problems.append(f"loop edge not allowed: ({a!r}, {b!r})")
-                continue
-            for x in (a, b):
-                if x not in seen:
-                    problems.append(f"edge endpoint is not a declared vertex: {x!r}")
-            key = (a, b) if a < b else (b, a)
             if key in norm:
                 problems.append(f"duplicate edge: {key!r}")
             norm.add(key)
@@ -295,34 +310,33 @@ class BipartiteGraph(_Indexed):
     edges: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
-        violations: list[str] = []
         u_problems, u_seen = _label_problems(self.part_u, "part U")
         w_problems, w_seen = _label_problems(self.part_w, "part W")
-        violations.extend(u_problems)
-        violations.extend(w_problems)
+        violations = u_problems + w_problems
         for shared in sorted(u_seen & w_seen):
             violations.append(f"label in both parts: {shared!r}")
         norm: set[tuple[str, str]] = set()
-        for e in self.edges:
-            pair = tuple(e)
-            if len(pair) != 2:
+        for e in _entries(self.edges, "edge list", violations):
+            # As in SimpleGraph: text is no pair, and unhashable endpoints raise.
+            try:
+                a, b = None if isinstance(e, str) else e
+                if a in u_seen and b in w_seen:
+                    key = (a, b)
+                elif a in w_seen and b in u_seen:
+                    key = (b, a)
+                elif a in u_seen and b in u_seen:
+                    violations.append(f"edge inside part U: ({a!r}, {b!r})")
+                    continue
+                elif a in w_seen and b in w_seen:
+                    violations.append(f"edge inside part W: ({a!r}, {b!r})")
+                    continue
+                else:
+                    for x in (a, b):
+                        if x not in u_seen and x not in w_seen:
+                            violations.append(f"edge endpoint is not a declared vertex: {x!r}")
+                    continue
+            except (TypeError, ValueError):
                 violations.append(f"edge must be a pair of labels: {e!r}")
-                continue
-            a, b = pair
-            if a in u_seen and b in w_seen:
-                key = (a, b)
-            elif a in w_seen and b in u_seen:
-                key = (b, a)
-            elif a in u_seen and b in u_seen:
-                violations.append(f"edge inside part U: ({a!r}, {b!r})")
-                continue
-            elif a in w_seen and b in w_seen:
-                violations.append(f"edge inside part W: ({a!r}, {b!r})")
-                continue
-            else:
-                for x in (a, b):
-                    if x not in u_seen and x not in w_seen:
-                        violations.append(f"edge endpoint is not a declared vertex: {x!r}")
                 continue
             if key in norm:
                 violations.append(f"duplicate edge: {key!r}")
