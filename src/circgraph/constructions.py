@@ -44,10 +44,10 @@ class Design:
         # final sort is cheap.
         seen: dict[tuple[str, ...], None] = {}
         for blk in _entries(self.blocks, "block list", problems):
-            # As for edges: text is no block, and members that cannot be
-            # hashed or ordered raise TypeError.
+            # As for edges: text and dicts are no blocks, and members that
+            # cannot be hashed or ordered raise TypeError.
             try:
-                members = tuple(sorted(set(None if isinstance(blk, str) else blk)))
+                members = tuple(sorted(set(None if isinstance(blk, (str, dict)) else blk)))
                 if len(members) < 3:
                     problems.append(
                         f"block must contain at least three distinct points: {sorted(blk)!r}"
@@ -69,7 +69,7 @@ class Design:
             seen[members] = None
         if problems:
             raise GraphError("; ".join(problems))
-        object.__setattr__(self, "points", tuple(sorted(self.points)))
+        object.__setattr__(self, "points", tuple(sorted(point_set)))
         object.__setattr__(self, "blocks", tuple(sorted(seen)))
 
 

@@ -7,10 +7,11 @@ Three input schemas, selected by the "format" field:
   design-v1   {"format": "design-v1", "points": [...], "blocks": [[...], ...]}
 
 Reading and writing share one schema table, `_SCHEMAS`: each tag names its
-value type and its fields once, in argument order, with the rule every entry
-of a field must meet. `parse_payload` builds the value from the table,
-`payload_to_obj` reads the value's attributes through it, and the
-unknown-tag message lists the table's tags.
+value type and its fields once, in argument order. `parse_payload` checks
+only the envelope (valid JSON, an object, a known tag, each field a list)
+and passes the lists to the value type, whose constructor checks every entry
+and reports each violation; `payload_to_obj` reads the value's attributes
+through the table, and the unknown-tag message lists the table's tags.
 
 Emission is byte-stable: sorted keys, two-space indent, lexicographic vertex
 and edge order, a single trailing newline, and no timestamps. DOT output is
@@ -28,7 +29,7 @@ import hashlib
 import json
 from dataclasses import fields, is_dataclass
 from enum import Enum
-from typing import Any, Callable, Union
+from typing import Any, Union
 
 from . import __version__
 from .canonical import CanonicalForm, IsoCertificate
@@ -41,7 +42,6 @@ from .graphs import (
     GraphError,
     SimpleGraph,
     UNREACHABLE,
-    is_label,
 )
 
 Payload = Union[SimpleGraph, BipartiteGraph, Design]
@@ -50,48 +50,27 @@ FORMAT_REPORT = "report-v1"
 
 
 class FileFormatError(GraphError):
-    """Malformed input file: bad JSON, missing fields, wrong field shapes."""
+    """Malformed input file: bad JSON, not an object, an unknown format tag,
+    or a field that is missing or not a list. A malformed entry of a field is
+    the value type's to report, with its own error."""
 
-
-def _is_pair(x: Any) -> bool:
-    return isinstance(x, list) and len(x) == 2 and all(map(is_label, x))
-
-
-def _is_block(x: Any) -> bool:
-    return isinstance(x, list) and all(map(is_label, x))
-
-
-# An entry rule: what each entry of a list field must be, and its test.
-_LABEL = ("a label (nonempty UTF-8 text)", is_label)
-_PAIR = ("a pair of labels", _is_pair)
-_BLOCK = ("a list of labels", _is_block)
 
 # Every input schema, stated once: format tag -> (value type, fields in the
-# type's argument order), each field a (JSON key, attribute, entry rule).
+# type's argument order), each field a (JSON key, attribute).
 _SCHEMAS = {
-    "bigraph-v1": (
-        BipartiteGraph,
-        (("u", "part_u", _LABEL), ("w", "part_w", _LABEL), ("edges", "edges", _PAIR)),
-    ),
-    "graph-v1": (SimpleGraph, (("vertices", "vertices", _LABEL), ("edges", "edges", _PAIR))),
-    "design-v1": (Design, (("points", "points", _LABEL), ("blocks", "blocks", _BLOCK))),
+    "bigraph-v1": (BipartiteGraph, (("u", "part_u"), ("w", "part_w"), ("edges", "edges"))),
+    "graph-v1": (SimpleGraph, (("vertices", "vertices"), ("edges", "edges"))),
+    "design-v1": (Design, (("points", "points"), ("blocks", "blocks"))),
 }
 
 
-def _list_field(obj: dict, name: str, rule: tuple[str, Callable[[Any], bool]]) -> list:
-    """The list in field `name`, every entry of which satisfies `rule`."""
-    entry, ok = rule
-    value = obj.get(name)
-    if not isinstance(value, list):
-        raise FileFormatError(f"field {name!r} must be a list, each entry {entry}")
-    if not all(map(ok, value)):
-        i = next(i for i, x in enumerate(value) if not ok(x))
-        raise FileFormatError(f"field {name!r} entry {i} must be {entry}")
-    return value
-
-
 def parse_payload(text: str) -> Payload:
-    """Parse a graph or design file; raises FileFormatError with diagnostics."""
+    """Parse a graph or design file.
+
+    A malformed envelope raises FileFormatError; a malformed entry raises the
+    value type's own GraphError (BipartiteError for bigraph-v1), listing
+    every violation.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -112,8 +91,11 @@ def parse_payload(text: str) -> Payload:
         )
     cls, schema = _SCHEMAS[fmt]
     args = []
-    for key, _, rule in schema:
-        args.append(_list_field(obj, key, rule))
+    for key, _ in schema:
+        value = obj.get(key)
+        if not isinstance(value, list):
+            raise FileFormatError(f"field {key!r} must be a list")
+        args.append(value)
     return cls(*args)
 
 
@@ -141,7 +123,7 @@ def payload_to_obj(payload: Payload) -> dict:
     else:
         raise TypeError(f"not a graph or design: {payload!r}")
     obj = {"format": tag}
-    for key, attr, _ in schema:
+    for key, attr in schema:
         obj[key] = [x if isinstance(x, str) else list(x) for x in getattr(payload, attr)]
     return obj
 

@@ -21,8 +21,11 @@ class GraphError(ValueError):
     """Invalid graph input: unknown labels, malformed edges, broken invariants.
 
     The constructors raise it for any value of any field: text, a number or
-    None where a collection belongs, or an edge or block whose members are
-    not labels. None of them raises TypeError on its input.
+    None where a collection belongs, an edge or block that is text or a dict
+    (neither is split into characters or keys), or an edge or block whose
+    members are not labels. None of them raises TypeError on its input. They
+    are the only check of a file's entries: the reader passes each field's
+    list to them as it is.
     """
 
 
@@ -268,10 +271,11 @@ class SimpleGraph(_Indexed):
         problems, seen = _label_problems(self.vertices, "vertex set")
         norm: set[tuple[str, str]] = set()
         for e in _entries(self.edges, "edge list", problems):
-            # Text is no pair: it would split into characters. Entries whose
-            # endpoints cannot be hashed or ordered raise TypeError here.
+            # Text and dicts are no pairs: they would unpack into characters
+            # or keys. Entries whose endpoints cannot be hashed or ordered
+            # raise TypeError here.
             try:
-                a, b = None if isinstance(e, str) else e
+                a, b = None if isinstance(e, (str, dict)) else e
                 if a == b:
                     problems.append(f"loop edge not allowed: ({a!r}, {b!r})")
                     continue
@@ -287,7 +291,8 @@ class SimpleGraph(_Indexed):
             norm.add(key)
         if problems:
             raise GraphError("; ".join(problems))
-        object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
+        # The validated labels, not the field: an iterator field is spent.
+        object.__setattr__(self, "vertices", tuple(sorted(seen)))
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
     @property
@@ -317,9 +322,10 @@ class BipartiteGraph(_Indexed):
             violations.append(f"label in both parts: {shared!r}")
         norm: set[tuple[str, str]] = set()
         for e in _entries(self.edges, "edge list", violations):
-            # As in SimpleGraph: text is no pair, and unhashable endpoints raise.
+            # As in SimpleGraph: text and dicts are no pairs, and unhashable
+            # endpoints raise.
             try:
-                a, b = None if isinstance(e, str) else e
+                a, b = None if isinstance(e, (str, dict)) else e
                 if a in u_seen and b in w_seen:
                     key = (a, b)
                 elif a in w_seen and b in u_seen:
@@ -343,8 +349,8 @@ class BipartiteGraph(_Indexed):
             norm.add(key)
         if violations:
             raise BipartiteError(violations)
-        object.__setattr__(self, "part_u", tuple(sorted(self.part_u)))
-        object.__setattr__(self, "part_w", tuple(sorted(self.part_w)))
+        object.__setattr__(self, "part_u", tuple(sorted(u_seen)))
+        object.__setattr__(self, "part_w", tuple(sorted(w_seen)))
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
     @property

@@ -11,7 +11,9 @@ deduplicates and describes those trees with the census's own class winner
 rule and entry code: the reference for the closed-form tree census, which
 they reach by searching every tree. `first_least_leaf` walks the canonical
 search tree, built with the library's `_refine`, with no pruning at all:
-the reference for the pruned search.
+the reference for the pruned search. `reference_refuses_an_entry` keeps the
+file reader's former per-entry rules: the reference for the constructors,
+which now check every entry of a file alone.
 """
 
 from collections import deque
@@ -29,6 +31,42 @@ from circgraph.circular import (
     classify,
 )
 from circgraph.graphs import UNREACHABLE, BipartiteGraph, GraphError, SimpleGraph, bfs_layers
+
+
+def _label(x):
+    if not isinstance(x, str) or not x:
+        return False
+    try:
+        x.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _pair(x):
+    return isinstance(x, list) and len(x) == 2 and all(map(_label, x))
+
+
+def _block(x):
+    return isinstance(x, list) and all(map(_label, x))
+
+
+# Per input format: each field's JSON key and the test every entry of it had
+# to pass when the file reader checked entries itself.
+REFERENCE_ENTRY_RULES = {
+    "bigraph-v1": (("u", _label), ("w", _label), ("edges", _pair)),
+    "graph-v1": (("vertices", _label), ("edges", _pair)),
+    "design-v1": (("points", _label), ("blocks", _block)),
+}
+
+
+def reference_refuses_an_entry(obj):
+    """Whether the former entry rules refuse some entry of a list field of
+    obj, a decoded file whose format tag is known."""
+    return any(
+        isinstance(obj.get(key), list) and not all(map(ok, obj[key]))
+        for key, ok in REFERENCE_ENTRY_RULES[obj["format"]]
+    )
 
 
 def oracle_bfs(g, start):

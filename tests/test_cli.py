@@ -632,9 +632,10 @@ class TestErrorHandling:
 
     def test_bad_edge_shape(self, capsys, monkeypatch):
         text = dumps_obj({"format": "graph-v1", "vertices": ["a"], "edges": [["a"]]})
-        code, _, err = run_cli(["check", "-"], capsys, monkeypatch, stdin_text=text)
+        code, out, err = run_cli(["check", "-"], capsys, monkeypatch, stdin_text=text)
         assert code == 2
-        assert "edges" in err
+        assert out == ""
+        assert err == "error: edge must be a pair of labels: ['a']\n"
 
     @settings(max_examples=50, deadline=None)
     @given(st.text(max_size=120))

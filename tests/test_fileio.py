@@ -15,7 +15,7 @@ from circgraph.fileio import (
     sha256_digest,
     to_dot,
 )
-from circgraph.graphs import UNREACHABLE, BipartiteGraph, SimpleGraph
+from circgraph.graphs import UNREACHABLE, BipartiteGraph, GraphError, SimpleGraph
 
 
 class TestParse:
@@ -57,33 +57,54 @@ class TestParse:
         assert f"tag: {tag!r} (expected" in str(exc.value)
 
     def test_field_shape_diagnostics(self):
+        # The reader checks that each field is a list; the value type checks
+        # each entry, with its own error.
         with pytest.raises(FileFormatError, match="'u'"):
             parse_payload('{"format": "bigraph-v1", "u": "oops", "w": [], "edges": []}')
-        with pytest.raises(FileFormatError, match="entry 0"):
+        with pytest.raises(GraphError) as exc:
             parse_payload('{"format": "graph-v1", "vertices": ["a"], "edges": [["a"]]}')
-        with pytest.raises(FileFormatError, match="'blocks'"):
+        assert type(exc.value) is GraphError
+        assert str(exc.value) == "edge must be a pair of labels: ['a']"
+        with pytest.raises(GraphError) as exc:
             parse_payload('{"format": "design-v1", "points": ["1"], "blocks": [1]}')
+        assert type(exc.value) is GraphError
+        assert str(exc.value) == "block must be a list of labels: 1"
 
     def test_empty_labels_rejected(self):
-        with pytest.raises(FileFormatError):
+        with pytest.raises(GraphError) as exc:
             parse_payload('{"format": "graph-v1", "vertices": [""], "edges": []}')
+        assert type(exc.value) is GraphError
+        assert str(exc.value) == "vertex set label must be nonempty UTF-8 text: ''"
 
-    def test_bad_label_named_by_index(self):
-        with pytest.raises(FileFormatError, match="'vertices' entry 1"):
+    def test_bad_label_named_by_value(self):
+        with pytest.raises(GraphError) as exc:
             parse_payload('{"format": "graph-v1", "vertices": ["a", ""], "edges": []}')
+        assert type(exc.value) is GraphError
+        assert str(exc.value) == "vertex set label must be nonempty UTF-8 text: ''"
 
     @pytest.mark.parametrize(
-        "text",
+        "text, message",
         [
-            '{"format": "graph-v1", "vertices": ["\\udc80"], "edges": []}',
-            '{"format": "graph-v1", "vertices": ["a", "b"], "edges": [["a", "\\ud800"]]}',
-            '{"format": "design-v1", "points": ["a"], "blocks": [["a", "\\udfff"]]}',
+            (
+                '{"format": "graph-v1", "vertices": ["\\udc80"], "edges": []}',
+                "vertex set label must be nonempty UTF-8 text: '\\udc80'",
+            ),
+            (
+                '{"format": "graph-v1", "vertices": ["a", "b"], "edges": [["a", "\\ud800"]]}',
+                "edge endpoint is not a declared vertex: '\\ud800'",
+            ),
+            (
+                '{"format": "design-v1", "points": ["a", "b"], "blocks": [["a", "b", "\\udfff"]]}',
+                "block member is not a declared point: '\\udfff'",
+            ),
         ],
         ids=["label-list", "pair-list", "block-list"],
     )
-    def test_labels_that_do_not_encode_rejected(self, text):
-        with pytest.raises(FileFormatError):
+    def test_labels_that_do_not_encode_rejected(self, text, message):
+        with pytest.raises(GraphError) as exc:
             parse_payload(text)
+        assert type(exc.value) is GraphError
+        assert str(exc.value) == message
 
 
 class TestEmission:

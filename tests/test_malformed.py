@@ -1,27 +1,28 @@
 """Malformed values reach no further than `GraphError`.
 
-The constructors and the file reader reject whatever they are given with
-`GraphError` (`BipartiteError` for a bipartite graph, `FileFormatError` for a
-file), never with a `TypeError` from deep inside the validation.
+The constructors reject whatever they are given with `GraphError`
+(`BipartiteError` for a bipartite graph), never with a `TypeError` from deep
+inside the validation. The file reader checks only a file's envelope
+(`FileFormatError`) and leaves every entry to the constructors.
 """
 
+import contextlib
+import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circgraph.cli import main
 from circgraph.constructions import Design
 from circgraph.fileio import parse_payload
 from circgraph.graphs import BipartiteError, BipartiteGraph, GraphError, SimpleGraph
 
+from helpers import REFERENCE_ENTRY_RULES, reference_refuses_an_entry
 from strategies import json_fields
 
-FIELDS = {
-    "graph-v1": ("vertices", "edges"),
-    "bigraph-v1": ("u", "w", "edges"),
-    "design-v1": ("points", "blocks"),
-}
 AB, ABC = ("a", "b"), ("a", "b", "c")
 PAIR, BLOCK = "edge must be a pair of labels", "block must be a list of labels"
 
@@ -29,8 +30,9 @@ PAIR, BLOCK = "edge must be a pair of labels", "block must be a list of labels"
 class TestMalformedEntries:
     """Every construction path rejects malformed input with `GraphError`.
 
-    Text is not a collection of labels here: an edge "ab" or a block "abc"
-    is refused, not split into its characters.
+    Text and dicts are not collections of labels here: an edge "ab" or a
+    block "abc" is refused, not split into its characters, and an edge
+    {"a": 1, "b": 2} is refused, not taken by its keys.
     """
 
     @pytest.mark.parametrize(
@@ -41,25 +43,29 @@ class TestMalformedEntries:
             (SimpleGraph, (AB, [(["a"], "b")]), f"{PAIR}: (['a'], 'b')"),
             (SimpleGraph, (AB, [5]), f"{PAIR}: 5"),
             (SimpleGraph, (AB, ["ab"]), f"{PAIR}: 'ab'"),
+            (SimpleGraph, (AB, [{"a": 1, "b": 2}]), f"{PAIR}: {{'a': 1, 'b': 2}}"),
             (SimpleGraph, (AB, 5), "edge list must be a collection: 5"),
             (SimpleGraph, (None, ()), "vertex set must be a collection: None"),
             (SimpleGraph, ("ab", ()), "vertex set must be a collection: 'ab'"),
             (BipartiteGraph, (("a",), ("b",), [(["a"], "b")]), f"{PAIR}: (['a'], 'b')"),
             (BipartiteGraph, (("a",), ("b",), [5]), f"{PAIR}: 5"),
             (BipartiteGraph, (("a",), ("b",), ["ab"]), f"{PAIR}: 'ab'"),
+            (BipartiteGraph, (("a",), ("b",), [{"a": 1, "b": 2}]), f"{PAIR}: {{'a': 1, 'b': 2}}"),
             (BipartiteGraph, (("a",), 3.5, ()), "part W must be a collection: 3.5"),
             (Design, (ABC, [5]), f"{BLOCK}: 5"),
             (Design, (ABC, [["a", "b", ["c"]]]), f"{BLOCK}: ['a', 'b', ['c']]"),
             (Design, (ABC, ["abc"]), f"{BLOCK}: 'abc'"),
+            (Design, (ABC, [{"a": 1, "b": 2, "c": 3}]), f"{BLOCK}: {{'a': 1, 'b': 2, 'c': 3}}"),
             (Design, (ABC, [["a", "b", None]]), f"{BLOCK}: ['a', 'b', None]"),
             (Design, (ABC, True), "block list must be a collection: True"),
         ],
         ids=[
             "simple-int-endpoint", "simple-null-endpoint", "simple-list-endpoint",
-            "simple-int-edge", "simple-text-edge", "simple-int-edges", "simple-null-vertices",
-            "simple-text-vertices", "bipartite-list-endpoint", "bipartite-int-edge",
-            "bipartite-text-edge", "bipartite-float-part", "design-int-block",
-            "design-nested-member", "design-text-block", "design-null-member",
+            "simple-int-edge", "simple-text-edge", "simple-dict-edge", "simple-int-edges",
+            "simple-null-vertices", "simple-text-vertices", "bipartite-list-endpoint",
+            "bipartite-int-edge", "bipartite-text-edge", "bipartite-dict-edge",
+            "bipartite-float-part", "design-int-block", "design-nested-member",
+            "design-text-block", "design-dict-block", "design-null-member",
             "design-bool-blocks",
         ],
     )
@@ -96,18 +102,57 @@ class TestMalformedEntries:
                 assert build is not BipartiteGraph
 
 
-class TestReaderGuard:
-    """The reader's entry rules stop malformed fields before any constructor
-    runs, so a file never reaches the constructors' own checks."""
+class TestOneShotFields:
+    """A field given as an iterator builds the value its list builds: each
+    field is read once, and the labels kept are the ones validated."""
+
+    @pytest.mark.parametrize(
+        "build, fields",
+        [
+            (SimpleGraph, (["b", "a"], [("a", "b")])),
+            (BipartiteGraph, (["u2", "u1"], ["w"], [("u1", "w"), ("w", "u2")])),
+            (Design, (["c", "a", "b", "d"], [["a", "b", "c"], ["d", "a", "b"]])),
+        ],
+        ids=["simple", "bipartite", "design"],
+    )
+    def test_iterator_fields_build_the_list_value(self, build, fields):
+        assert build(*map(iter, fields)) == build(*fields)
+
+
+def _check_stdin(text):
+    """Exit code and stdout of `circgraph check -` run on text."""
+    out = io.StringIO()
+    old = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["check", "-"])
+    finally:
+        sys.stdin = old
+    return code, out.getvalue()
+
+
+class TestFileEntries:
+    """The constructors alone check a file's entries: every file whose
+    entries the reader's former rules refused (`reference_refuses_an_entry`)
+    is still refused, now by the value type, and the CLI reports it as an
+    input error."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(sorted(FIELDS)), st.data())
-    def test_known_tag_with_any_fields_raises_only_graph_error(self, tag, data):
+    @given(st.sampled_from(sorted(REFERENCE_ENTRY_RULES)), st.data())
+    def test_entries_the_former_rules_refuse_are_refused(self, tag, data):
         obj = {"format": tag}
-        for name in FIELDS[tag]:
+        for key, _ in REFERENCE_ENTRY_RULES[tag]:
             if data.draw(st.integers(0, 9)):  # now and then a field is missing
-                obj[name] = data.draw(json_fields)
+                obj[key] = data.draw(json_fields)
+        text = json.dumps(obj)
+        # The rules read the decoded file, where tuples have become lists.
+        refused = reference_refuses_an_entry(json.loads(text))
         try:
-            parse_payload(json.dumps(obj))
+            parse_payload(text)
         except GraphError:
             pass
+        else:
+            assert not refused
+        if refused:
+            assert _check_stdin(text) == (2, "")
