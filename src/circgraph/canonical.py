@@ -25,16 +25,20 @@ single cell, so the first round there is a sort by degree, ascending: the
 root splits each cell by degree and then runs one round over all cells.
 After individualizing v, the only piece counted is v itself.
 
-The smallest cell of two or more members (lowest index on ties) is the
-branch target; each branch moves one member into a singleton just before
-the rest of its cell and refines again. A discrete partition, read cell by
-cell, is a candidate vertex order, and the least upper-triangular
-adjacency bit string wins. Leaves hold it as row integers (row i:
-positions i+1..n-1, i+1 most significant, so fixed-width rows compare as
-the string does), read off one per-vertex bit table: the vertex at
-position i is bit n-1-i, so a row is the sum of its neighbors' bits below
-its own. `_search` returns the first least leaf in depth-first order, and
-`CanonicalForm` keeps its rows.
+The search tree is defined once, by three functions: `_refine` at the root,
+then at each node `_target`, the smallest cell of two or more members
+(lowest index on ties, -1 at a leaf), and for each member v of that cell
+`_child`, which moves v into a singleton just before the rest of its cell
+and refines from that piece. The tests' unpruned reference walks the same
+tree through them, so pruning is all that sets `_search` apart from it.
+
+A discrete partition, read cell by cell, is a candidate vertex order, and
+the least upper-triangular adjacency bit string wins. Leaves hold it as
+row integers (row i: positions i+1..n-1, i+1 most significant, so
+fixed-width rows compare as the string does), read off one per-vertex bit
+table: the vertex at position i is bit n-1-i, so a row is the sum of its
+neighbors' bits below its own. `_search` returns the first least leaf in
+depth-first order, and `CanonicalForm` keeps its rows.
 
 Cells never move past each other, so in part-respecting mode, which starts
 from the cells (points, circles), all point vertices come before all circle
@@ -100,7 +104,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .graphs import BipartiteGraph, Graph, GraphError, _counts, _split, bits
+from .graphs import BipartiteGraph, Graph, GraphError, _counts, bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +143,22 @@ class IsoCertificate:
     mapping: Optional[Mapping[str, str]] = None
 
 
+def _split(groups: list[int], slices: list[int]) -> list[int]:
+    # Each group's members by count, larger counts first, the groups keeping
+    # their order: each slice, most significant first, puts a group's set
+    # members ahead of the rest.
+    for s in reversed(slices):
+        out = []
+        for g in groups:
+            high = g & s
+            if high and high != g:
+                out += (high, g ^ high)
+            else:
+                out.append(g)
+        groups = out
+    return groups
+
+
 def _refine(
     masks: Sequence[int], cells: list[int], pieces: Optional[list[int]] = None
 ) -> list[int]:
@@ -148,8 +168,7 @@ def _refine(
     # the root: cells split by degree, ascending, and then count into all.
     if pieces is None:
         degrees = _counts(masks, sum(cells))
-        cells = [g for cell in cells for g in reversed(_split([cell], degrees))]
-        pieces = cells
+        cells = pieces = [g for cell in cells for g in reversed(_split([cell], degrees))]
     while True:
         # Each counter with the positions it reaches (a nonzero count).
         counters = []
@@ -206,6 +225,23 @@ def _close(covered: set[int], todo: list[int], gens: list[tuple[int, ...]]) -> N
                 todo.append(y)
 
 
+def _target(cells: list[int]) -> int:
+    # The branch target: the smallest cell of two or more members, the
+    # lowest index on ties; -1 when the partition is discrete, at a leaf.
+    t, size = -1, 0
+    for i, cell in enumerate(cells):
+        k = cell.bit_count()
+        if k >= 2 and (t < 0 or k < size):
+            t, size = i, k
+    return t
+
+
+def _child(masks: Sequence[int], cells: list[int], t: int, v: int) -> list[int]:
+    # The child that individualizes v: v leaves cell t for a singleton just
+    # before the rest of it, and the partition is refined from that piece.
+    return _refine(masks, cells[:t] + [1 << v, cells[t] ^ 1 << v] + cells[t + 1 :], [1 << v])
+
+
 def _children(
     masks: Sequence[int],
     twins: list[int],
@@ -220,12 +256,11 @@ def _children(
     # appends to it while the node is suspended. `seen` holds the twin
     # classes of the explored candidates and `covered` their orbits under
     # `fixing`; `todo` is what `covered` still has to be closed from.
-    target = cells[t]
     seen: set[int] = set()
     covered: set[int] = set()
     todo: list[int] = []
     looked = 0
-    for v in bits(target):
+    for v in bits(cells[t]):
         if twins[v] in seen:
             continue
         if len(fixing) > looked:
@@ -234,8 +269,7 @@ def _children(
         _close(covered, todo, fixing)
         if v in covered:
             continue
-        low = 1 << v
-        yield _refine(masks, cells[:t] + [low, target ^ low] + cells[t + 1 :], [low]), v
+        yield _child(masks, cells, t, v), v
         seen.add(twins[v])
         covered.add(v)
         todo.append(v)
@@ -270,12 +304,7 @@ def _search(
     stack: list[tuple[Iterator[tuple[list[int], int]], list[tuple[int, ...]]]] = []
     path: list[int] = []
     while True:
-        t = -1
-        size = 0
-        for i, cell in enumerate(cells):
-            k = cell.bit_count()
-            if k >= 2 and (t < 0 or k < size):
-                t, size = i, k
+        t = _target(cells)
         if t >= 0:
             # The parent's generators fix the parent's prefix, so those that
             # fix this node's prefix are the ones fixing its own position.
@@ -317,9 +346,7 @@ def _initial_cells(g: Graph, respect_parts: bool) -> list[int]:
     if respect_parts and not isinstance(g, BipartiteGraph):
         raise GraphError("part-respecting canonical form requires a bipartite graph")
     idx = g.index
-    if respect_parts:
-        return [idx.points, idx.circles]
-    return [(1 << len(idx.labels)) - 1]
+    return [idx.points, idx.circles] if respect_parts else [(1 << len(idx.labels)) - 1]
 
 
 def _label(

@@ -45,12 +45,14 @@ class Design:
         seen: dict[tuple[str, ...], None] = {}
         for blk in _entries(self.blocks, "block list", problems):
             # As for edges: text and dicts are no blocks, and members that
-            # cannot be hashed or ordered raise TypeError.
+            # cannot be hashed or ordered raise TypeError. The members are read
+            # once, so a block given as a one-shot iterator is named in full.
             try:
-                members = tuple(sorted(set(None if isinstance(blk, (str, dict)) else blk)))
+                held = list(None if isinstance(blk, (str, dict)) else blk)
+                members = tuple(sorted(set(held)))
                 if len(members) < 3:
                     problems.append(
-                        f"block must contain at least three distinct points: {sorted(blk)!r}"
+                        f"block must contain at least three distinct points: {sorted(held)!r}"
                     )
                     continue
             except TypeError:

@@ -20,12 +20,12 @@ from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 class GraphError(ValueError):
     """Invalid graph input: unknown labels, malformed edges, broken invariants.
 
-    The constructors raise it for any value of any field: text, a number or
-    None where a collection belongs, an edge or block that is text or a dict
-    (neither is split into characters or keys), or an edge or block whose
-    members are not labels. None of them raises TypeError on its input. They
-    are the only check of a file's entries: the reader passes each field's
-    list to them as it is.
+    The constructors raise it for any value of any field: text, a dict, a
+    number or None where a collection belongs, an edge or block that is text
+    or a dict (neither is split into characters or keys), or an edge or
+    block whose members are not labels. None of them raises TypeError on
+    its input. They are the only check of a file's entries: the reader
+    passes each field's list to them as it is.
     """
 
 
@@ -59,8 +59,9 @@ def is_label(x: Any) -> bool:
 
 
 def _entries(value: Any, where: str, problems: list[str]) -> Iterable[Any]:
-    """value's entries; text or a value that is not a collection is reported and has none."""
-    if isinstance(value, str) or not isinstance(value, Iterable):
+    """value's entries; text, a dict or a value that is not a collection is
+    reported and has none, so neither characters nor keys pass for entries."""
+    if isinstance(value, (str, dict)) or not isinstance(value, Iterable):
         problems.append(f"{where} must be a collection: {value!r}")
         return ()
     return value
@@ -103,22 +104,6 @@ def _counts(masks: Sequence[int], piece: int) -> list[int]:
         else:
             slices.append(carry)
     return slices
-
-
-def _split(groups: list[int], slices: list[int]) -> list[int]:
-    # Each group's members by count, larger counts first, the groups keeping
-    # their order: each slice, most significant first, puts a group's set
-    # members ahead of the rest.
-    for s in reversed(slices):
-        out = []
-        for g in groups:
-            high = g & s
-            if high and high != g:
-                out += (high, g ^ high)
-            else:
-                out.append(g)
-        groups = out
-    return groups
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,18 +2,19 @@
 
 Everything here recomputes facts from scratch (plain BFS, permutation
 search, raw loops) so library results are checked against code that shares
-no logic with the implementation under test. Two exceptions reuse library
+no logic with the implementation under test. A few exceptions reuse library
 code around the part they check. `reference_are_isomorphic` composes two of
 the library's full canonical labelings: the reference for the
 early-stopping second search of `are_isomorphic`. `free_trees` keeps the
 first tree of each plain canonical form, and `brute_force_circular_trees`
 deduplicates and describes those trees with the census's own class winner
 rule and entry code: the reference for the closed-form tree census, which
-they reach by searching every tree. `first_least_leaf` walks the canonical
-search tree, built with the library's `_refine`, with no pruning at all:
-the reference for the pruned search. `reference_refuses_an_entry` keeps the
-file reader's former per-entry rules: the reference for the constructors,
-which now check every entry of a file alone.
+they reach by searching every tree. `first_least_leaf` walks the library's
+own search tree (`_refine`, `_target`, `_child`) with no pruning at all:
+the reference for the pruned search, which differs from it in pruning
+alone. `reference_refuses_an_entry` keeps the file reader's former
+per-entry rules: the reference for the constructors, which now check every
+entry of a file alone.
 """
 
 from collections import deque
@@ -21,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 import random
 
-from circgraph.canonical import IsoCertificate, _refine, canonical_form
+from circgraph.canonical import IsoCertificate, _child, _refine, _target, canonical_form
 from circgraph.census import _classes
 from circgraph.circular import (
     CircularClassification,
@@ -425,17 +426,17 @@ def reference_in_explored_orbit(gens, prefix, explored, v):
 
 def first_least_leaf(masks, cells):
     """Bits and vertex order of the first least leaf, in depth-first order,
-    of the whole search tree from the initial `cells`: every member of every
-    target cell is individualized, with no pruning. The tree is the one
-    `canonical._search` walks: `_refine` at each node, and the target is
-    the smallest cell of two or more members, the lowest index on ties."""
+    of the whole search tree from the initial `cells`, with no pruning:
+    every member of every target cell is individualized. The tree is the
+    library's own, walked through `_refine`, `_target` and `_child`; the
+    leaf bit string is spelled out here from the adjacency masks."""
     n = len(masks)
     best = None
 
     def walk(cells):
         nonlocal best
-        open_cells = [(cell.bit_count(), t) for t, cell in enumerate(cells) if cell & (cell - 1)]
-        if not open_cells:
+        t = _target(cells)
+        if t < 0:
             order = [cell.bit_length() - 1 for cell in cells]
             leaf = "".join(
                 str(masks[order[i]] >> order[j] & 1) for i in range(n) for j in range(i + 1, n)
@@ -443,12 +444,9 @@ def first_least_leaf(masks, cells):
             if best is None or leaf < best[0]:
                 best = (leaf, order)
             return
-        _, t = min(open_cells)
-        target = cells[t]
         for v in range(n):
-            if target >> v & 1:
-                low = 1 << v
-                walk(_refine(masks, cells[:t] + [low, target ^ low] + cells[t + 1 :], [low]))
+            if cells[t] >> v & 1:
+                walk(_child(masks, cells, t, v))
 
     walk(_refine(masks, [cell for cell in cells if cell]))
     return best

@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circgraph import canonical
-from circgraph.canonical import _counts, _refine, _split, are_isomorphic, canonical_form
+from circgraph.canonical import (
+    _child,
+    _counts,
+    _refine,
+    _split,
+    _target,
+    are_isomorphic,
+    canonical_form,
+)
 from circgraph.cli import main
 from circgraph.constructions import neighborhood_graph, star, triangular
 from circgraph.fileio import dumps_obj, payload_to_obj
@@ -463,6 +471,62 @@ class TestRefinementOrder:
         for _ in range(3):
             self.check_chain(triangular(9), True, rng)
             self.check_chain(cfi(list(combinations(range(5), 2)), 5, ()), False, rng)
+
+
+class TestTreeRules:
+    """The two rules of the search tree, which `_search` and the unpruned
+    reference `first_least_leaf` share: `_target` picks the branch cell and
+    `_child` builds a child's partition."""
+
+    @pytest.mark.parametrize(
+        "cells, t",
+        [
+            ([0b111000, 0b110, 0b1], 1),
+            ([0b111, 0b11000, 0b1100000, 0b10000000], 1),
+            ([0b1, 0b110], 1),
+            ([0b1, 0b1110, 0b10000, 0b1100000], 3),
+            ([0b1, 0b10, 0b100], -1),
+            ([], -1),
+        ],
+        ids=[
+            "smallest",
+            "lowest-index-tie",
+            "singleton-first",
+            "singletons-between",
+            "discrete",
+            "empty",
+        ],
+    )
+    def test_target(self, cells, t):
+        assert _target(cells) == t
+
+    def test_child_refines_from_the_new_singleton(self):
+        rng = random.Random(2024)
+        graphs = [random_simple_graph(rng, 9) for _ in range(60)]
+        graphs += [random_bipartite(rng, max_part=5) for _ in range(40)]
+        graphs += [as_simple(triangular(5)), shrikhande()]
+        children = 0
+        for g in graphs:
+            masks = g.index.masks
+            # Points first for a bipartite graph, as in part-respecting mode.
+            cells = _refine(masks, [c for c in (g.index.points, g.index.circles) if c])
+            while True:
+                opened = [t for t, cell in enumerate(cells) if cell & (cell - 1)]
+                if not opened:
+                    break
+                for t in opened:
+                    for v in cell_lists([cells[t]])[0]:
+                        before = list(cells)
+                        low = 1 << v
+                        expected = _refine(
+                            masks, cells[:t] + [low, cells[t] ^ low] + cells[t + 1 :], [low]
+                        )
+                        assert _child(masks, cells, t, v) == expected
+                        assert cells == before
+                        children += 1
+                t = rng.choice(opened)
+                cells = _child(masks, cells, t, rng.choice(cell_lists([cells[t]])[0]))
+        assert children > 500
 
 
 class TestNetworkxOracle:

@@ -32,7 +32,9 @@ class TestMalformedEntries:
 
     Text and dicts are not collections of labels here: an edge "ab" or a
     block "abc" is refused, not split into its characters, and an edge
-    {"a": 1, "b": 2} is refused, not taken by its keys.
+    {"a": 1, "b": 2} is refused, not taken by its keys. The same holds for
+    a whole field: a vertex set, part, point set, edge list or block list
+    that is text or a dict is refused.
     """
 
     @pytest.mark.parametrize(
@@ -58,6 +60,22 @@ class TestMalformedEntries:
             (Design, (ABC, [{"a": 1, "b": 2, "c": 3}]), f"{BLOCK}: {{'a': 1, 'b': 2, 'c': 3}}"),
             (Design, (ABC, [["a", "b", None]]), f"{BLOCK}: ['a', 'b', None]"),
             (Design, (ABC, True), "block list must be a collection: True"),
+            (
+                SimpleGraph,
+                ({"a": 1, "b": 2}, ()),
+                "vertex set must be a collection: {'a': 1, 'b': 2}",
+            ),
+            (
+                SimpleGraph,
+                (AB, {("a", "b"): None}),
+                "edge list must be a collection: {('a', 'b'): None}",
+            ),
+            (BipartiteGraph, ({"a": 0}, ("b",), ()), "part U must be a collection: {'a': 0}"),
+            (
+                Design,
+                ({"a": 0, "b": 0, "c": 0}, ()),
+                "point set must be a collection: {'a': 0, 'b': 0, 'c': 0}",
+            ),
         ],
         ids=[
             "simple-int-endpoint", "simple-null-endpoint", "simple-list-endpoint",
@@ -66,7 +84,8 @@ class TestMalformedEntries:
             "bipartite-int-edge", "bipartite-text-edge", "bipartite-dict-edge",
             "bipartite-float-part", "design-int-block", "design-nested-member",
             "design-text-block", "design-dict-block", "design-null-member",
-            "design-bool-blocks",
+            "design-bool-blocks", "simple-dict-vertices", "simple-dict-edges",
+            "bipartite-dict-part", "design-dict-points",
         ],
     )
     def test_rejected_with_graph_error(self, build, fields, message):
@@ -117,6 +136,11 @@ class TestOneShotFields:
     )
     def test_iterator_fields_build_the_list_value(self, build, fields):
         assert build(*map(iter, fields)) == build(*fields)
+
+    def test_too_small_iterator_block_named_in_full(self):
+        with pytest.raises(GraphError) as exc:
+            Design(ABC, [iter(["a", "b"])])
+        assert str(exc.value) == "block must contain at least three distinct points: ['a', 'b']"
 
 
 def _check_stdin(text):
